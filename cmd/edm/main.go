@@ -206,8 +206,8 @@ func printCacheStats(out *os.File) {
 		"compiler", comp.Hits, comp.Misses, comp.Waits, comp.Evictions, comp.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"topk", topk.Hits, topk.Misses, topk.Waits, topk.Evictions, topk.Entries)
-	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d evictions %d entries %d\n",
-		"backend/prog", prog.Hits, prog.Misses, prog.Evictions, prog.Entries)
+	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d evictions %-4d entries %-4d plan-bytes %d\n",
+		"backend/prog", prog.Hits, prog.Misses, prog.Evictions, prog.Entries, prog.PlanBytes)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"backend/run", run.Hits, run.Misses, run.Waits, run.Evictions, run.Entries)
 	printRecompileStats(out)
@@ -237,8 +237,8 @@ func printRecompileStats(out *os.File) {
 func printEngineStats(out *os.File) {
 	es := backend.EngineStatsSnapshot()
 	fmt.Fprintln(out, "trajectory engine stats:")
-	fmt.Fprintf(out, "  %-14s plans %-8d fallbacks %-4d leaves %d\n",
-		"tape-tree", es.PlansBuilt, es.PlanFallbacks, es.TreeLeaves)
+	fmt.Fprintf(out, "  %-14s plans %-8d fallbacks %-4d paths %d\n",
+		"tape-tree", es.PlansBuilt, es.PlanFallbacks, es.PlanPaths)
 	fmt.Fprintf(out, "  %-14s dominant %-6d divergent %d\n",
 		"trials", es.FullDominantTrials, es.DivergentTrials)
 	meanBatch := 0.0

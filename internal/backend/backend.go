@@ -50,6 +50,10 @@ type Machine struct {
 	// engine selects the Monte-Carlo execution strategy; the zero value
 	// is the prefix-sharing engine (see prefix.go).
 	engine TrajectoryEngine
+	// planBytes is the checkpoint memory of the cached programs' prefix
+	// plans (CacheStats.PlanBytes): charged as plans build and grow,
+	// released when their program leaves the cache.
+	planBytes atomic.Int64
 }
 
 // TrajectoryEngine selects how Run turns a compiled program into trial
@@ -149,11 +153,18 @@ type program struct {
 	steps     []step
 	measPhys  []int // classical bit -> physical qubit (-1 if unwritten)
 
-	// prefix is the dominant-path threshold tape + checkpoints of the
-	// prefix-sharing engine (prefix.go), built at most once per compiled
-	// program on first use and shared read-only by every stripe.
+	// prefix is the tape tree of the prefix-sharing engine (prefix.go):
+	// its spine is built at most once per compiled program on first use,
+	// and runs grow exit children under the plan's own lock.
 	prefixOnce sync.Once
 	prefix     *prefixPlan
+	// acct guards the plan bytes this program has charged to its
+	// machine's gauge, and whether it has left the program cache.
+	acct struct {
+		sync.Mutex
+		charged int64
+		evicted bool
+	}
 
 	// stab is the Clifford analysis of the stabilizer engine (stab.go),
 	// built at most once per compiled program on first use.

@@ -74,8 +74,10 @@ func BenchmarkRunTrajectory(b *testing.B) {
 // BenchmarkTrajectoryEngine measures per-trial execution of the legacy
 // full-replay loop against the prefix-sharing engine on the same
 // compiled programs. legacy/q14 vs prefix/q14 is the BENCH_trajectory.json
-// headline pair; the prefix sub-benchmarks also report the threshold-tape
-// length and checkpoint memory overhead.
+// headline pair. The sequential engine never grows the tree, so a
+// batched run on the benchmark's streams grows it first; the prefix
+// sub-benchmarks then report the threshold-tape length, the grown path
+// count and the checkpoint memory overhead.
 func BenchmarkTrajectoryEngine(b *testing.B) {
 	for _, nq := range []int{6, 10, 14} {
 		m := noisyMachine(7)
@@ -101,6 +103,7 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 				b.Fatal("no prefix plan")
 			}
 			r := rng.New(11)
+			m.runBatched(prog, plan, 2048, r, nil)
 			var tally engineTally
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -108,13 +111,14 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 				m.runTrialShared(prog, plan, scratch, trueBits, r, i, &tally)
 			}
 			b.StopTimer()
+			paths := plan.pathList()
 			entries := 0
-			for _, n := range plan.nodes {
+			for _, n := range paths {
 				entries += len(n.tape)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 			b.ReportMetric(float64(entries), "tape-entries")
-			b.ReportMetric(float64(len(plan.leaves)), "leaves")
+			b.ReportMetric(float64(len(paths)), "paths")
 			b.ReportMetric(float64(plan.stateBytes)/1024, "ckpt-KiB")
 		})
 	}

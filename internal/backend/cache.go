@@ -40,6 +40,10 @@ type CacheStats struct {
 	Misses    uint64
 	Evictions uint64
 	Entries   int
+	// PlanBytes is the live checkpoint memory of the cached programs'
+	// prefix plans: it rises as plans build and grow, and falls when a
+	// program leaves the cache.
+	PlanBytes int64
 }
 
 // CacheStats returns the machine's compiled-program cache counters.
@@ -47,7 +51,34 @@ func (m *Machine) CacheStats() CacheStats {
 	c := &m.progs
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries)}
+	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Entries: len(c.entries),
+		PlanBytes: m.planBytes.Load()}
+}
+
+// chargePlan adds delta bytes of prog's plan checkpoints to the
+// machine's PlanBytes gauge, unless prog has already left the cache (a
+// run may still be growing an evicted program's plan).
+func (m *Machine) chargePlan(prog *program, delta int64) {
+	a := &prog.acct
+	a.Lock()
+	defer a.Unlock()
+	if !a.evicted {
+		a.charged += delta
+		m.planBytes.Add(delta)
+	}
+}
+
+// releasePlan takes an evicted program's plan bytes off the gauge and
+// stops further charges.
+func (m *Machine) releasePlan(prog *program) {
+	a := &prog.acct
+	a.Lock()
+	defer a.Unlock()
+	if !a.evicted {
+		a.evicted = true
+		m.planBytes.Add(-a.charged)
+		a.charged = 0
+	}
 }
 
 // getProgram returns the compiled, fused program for the executable,
@@ -74,11 +105,17 @@ func (m *Machine) getProgram(exe *circuit.Circuit) (*program, error) {
 	}
 	prog := fuseProgram(raw)
 
+	// Programs that leave the map — evicted, or replaced by a racing
+	// compile of the same circuit — release their plan bytes after the
+	// cache lock is dropped.
+	var gone []*program
 	c.mu.Lock()
 	if c.entries == nil {
 		c.entries = make(map[uint64]progEntry, progCacheLimit)
 	}
-	if _, exists := c.entries[fp]; !exists {
+	if old, exists := c.entries[fp]; exists {
+		gone = append(gone, old.prog)
+	} else {
 		c.order = append(c.order, fp)
 	}
 	c.entries[fp] = progEntry{prog: prog, numQubits: exe.NumQubits, numClbits: exe.NumClbits, numOps: len(exe.Ops)}
@@ -86,6 +123,7 @@ func (m *Machine) getProgram(exe *circuit.Circuit) (*program, error) {
 		oldest := c.order[0]
 		c.order = c.order[1:]
 		if oldest != fp {
+			gone = append(gone, c.entries[oldest].prog)
 			delete(c.entries, oldest)
 			c.evictions++
 		} else {
@@ -94,5 +132,8 @@ func (m *Machine) getProgram(exe *circuit.Circuit) (*program, error) {
 		}
 	}
 	c.mu.Unlock()
+	for _, p := range gone {
+		m.releasePlan(p)
+	}
 	return prog, nil
 }

@@ -1,6 +1,6 @@
 package backend
 
-// Prefix-sharing trajectory engine with a tape tree.
+// Prefix-sharing trajectory engine with a traffic-grown tape tree.
 //
 // At the device's error rates most Monte-Carlo trials follow the same
 // branch at every stochastic step for a long prefix of the schedule —
@@ -10,26 +10,29 @@ package backend
 // means every state-dependent branch probability (Kraus weights,
 // measurement probabilities) is bit-identical too. So the schedule is
 // executed once along its *dominant path* — every stochastic step takes
-// a fixed preferred branch — recording, per stochastic draw, the exact
-// floating-point comparison the live code would perform (the threshold
-// tape) plus copy-on-write statevector checkpoints every few steps.
+// its higher-probability branch — recording, per stochastic draw, the
+// exact floating-point comparison the live code would perform (the
+// threshold tape) plus copy-on-write statevector checkpoints every few
+// steps. That path, the *spine*, is all a plan holds when it is built.
 //
-// One dominant path is not enough when the schedule contains genuinely
-// random branch points: a measurement of an equal superposition sends
-// half of all trials off the tape, and each of them pays a suffix
-// replay. The engine therefore grows a small *tree* of dominant paths:
-// when the dominant-path builder meets a stochastic comparison whose
-// minority branch still carries probability >= forkMinProb — only
-// measurements and two-operator Kraus selections qualify, the two
-// branch kinds that consume exactly one uniform either way — it forks
-// the tape and continues building both branches, until maxTreeLeaves
-// paths exist. Each tree node owns the tape segment between its
-// parent's fork and its own (or its leaf end), its own checkpoints, and
-// — on leaves — the classical bits of the full path. A trial burns its
-// uniforms against the tape, selects a child at each fork with the very
-// comparison the live code would perform, and resolves with zero state
-// work if it reaches a leaf; only trials diverging from *every* path in
-// the tree replay a suffix.
+// One path is not enough when the schedule contains genuinely random
+// branch points: a measurement of an equal superposition sends half of
+// all trials off the tape, and each of them pays a suffix replay. So
+// every two-outcome tape entry — a measurement or a two-operator Kraus
+// selection, the two branch kinds that consume exactly one uniform
+// either way — can carry an *exit child*: another dominant path that
+// starts right after that entry's minority branch. Exits are not built
+// up front. The batched scheduler (sched.go) counts, per run, how many
+// trials leave the tree at each unbuilt exit, and builds the child of
+// every exit that at least growMinArrivals trials reached (growExits).
+// The tree therefore grows where trials actually go and stays a bare
+// spine where they scatter, until maxTreePaths paths exist or the
+// checkpoints reach half of planStateBudget. Each path node owns its
+// tape, its own checkpoints, its exits and the classical bits at its
+// end. A trial burns its uniforms against the tape, follows an exit
+// whenever it takes a minority branch that has one, and resolves with
+// zero state work if it reaches the end of a path; only trials
+// diverging where no exit exists replay a suffix.
 //
 // Soundness (byte-identity with runTrajectory, DESIGN.md section 10):
 //
@@ -37,31 +40,33 @@ package backend
 //     and re-evaluated with the same operations ((u < p) for Bernoulli
 //     draws, (u*total - w0 < 0) for two-branch Kraus selection via
 //     rng.Choose, (u < p1) for measurements), so a tape scan and a live
-//     trial branch identically on every uniform. Fork entries reuse the
-//     same comparisons; they merely route to a child instead of ending
-//     the scan.
+//     trial branch identically on every uniform.
 //   - Every stochastic step consumes exactly one uniform when it takes
-//     a recorded branch, and a fork consumes exactly one uniform on
-//     *either* branch (measurements and two-operator Choose draw one
-//     Float64 regardless of outcome), so the draw index along any
-//     root-to-leaf path equals the trial stream's draw index; a
-//     checkpoint at path draw index k is restored by deriving the trial
-//     stream afresh and Skip(k)-ing it. Pauli error branches draw extra
-//     uniforms (the error-kind draw), which is why tapeBern entries
-//     never fork — their minority branch would break the accounting
-//     (and is never near-50/50 at calibrated error rates anyway).
+//     a recorded branch, and a two-outcome entry consumes exactly one
+//     uniform on *either* branch (measurements and two-operator Choose
+//     draw one Float64 regardless of outcome), so the draw index along
+//     any path — spine or exit child — equals the trial stream's draw
+//     index; a checkpoint at path draw index k is restored by deriving
+//     the trial stream afresh and Skip(k)-ing it. Pauli error branches
+//     draw extra uniforms (the error-kind draw), which is why tapeBern
+//     entries never carry an exit.
 //   - Replay from a checkpoint re-executes the remaining schedule with
 //     the live code path: the steps between the checkpoint and the
 //     divergent draw re-sample their recorded branches (same state,
-//     same uniforms, same comparisons — including any forks the trial
+//     same uniforms, same comparisons — including any exits the trial
 //     followed), and the divergent step itself consumes whatever extra
-//     draws its branch needs, exactly as the legacy loop would.
+//     draws its branch needs, exactly as the legacy loop would. An exit
+//     child shares its parent's checkpoints only up to its exit step
+//     (checkpointBefore).
 //
 // The engine therefore changes only how trials are scheduled, never
-// what they compute.
+// what they compute: tree shape, and so growth order, never affects
+// Counts.
 
 import (
+	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"edm/internal/bitstr"
@@ -124,30 +129,20 @@ func (e *tapeEntry) choosesZero(u float64) bool {
 	return x < 0
 }
 
-// branch returns the child index a trial whose fork uniform is u
-// follows: the measurement outcome, or the rng.Choose branch. Only
-// tapeMeas* and tapeChoose* entries fork.
-func (e *tapeEntry) branch(u float64) int {
-	switch e.op {
-	case tapeChoose0, tapeChoose1:
-		if e.choosesZero(u) {
-			return 0
-		}
+// recorded returns the branch index the entry records: the measurement
+// outcome, the rng.Choose branch, or 0 ("no error") for tapeBern.
+func (e *tapeEntry) recorded() int {
+	if e.op == tapeChoose1 || e.op == tapeMeas1 {
 		return 1
-	default: // tapeMeas0, tapeMeas1
-		if u < e.a {
-			return 1
-		}
-		return 0
 	}
+	return 0
 }
 
 // checkpoint is a copy-on-write snapshot of a dominant path: the
 // state and classical bits *before* executing schedule step stepIdx,
-// with tapeIdx stochastic draws (tape entries plus fork draws) consumed
-// along the path so far. Checkpoints are built once per program and
-// only ever read afterwards — trials restore by copying into their
-// private scratch.
+// with tapeIdx stochastic draws consumed along the path so far.
+// Checkpoints are built once per path and only ever read afterwards —
+// trials restore by copying into their private scratch.
 type checkpoint struct {
 	stepIdx int
 	tapeIdx int
@@ -155,29 +150,33 @@ type checkpoint struct {
 	bits    []int
 }
 
-// treeNode is one dominant-path segment of the tape tree. The root
-// segment starts at schedule step 0; every other segment starts right
-// after its parent's fork. Internal nodes end in a fork (children set),
-// leaves carry the classical bits of their full root-to-leaf path.
+// treeNode is one dominant path of the tape tree: the root spine starts
+// at schedule step 0, every other path right after the minority branch
+// of its parent's tape entry exitIdx. A path always runs to the end of
+// the schedule and carries the classical bits there.
 type treeNode struct {
-	id       int
-	depth    int // forks above this segment
-	parent   *treeNode
+	id     int
+	depth  int // exits above this path
+	parent *treeNode
+	// exitIdx and exitStep locate the parent tape entry whose minority
+	// branch starts this path (root: -1 and math.MaxInt); start is the
+	// path draw index of tape[0].
+	exitIdx  int
+	exitStep int
+	start    int
 	tape     []tapeEntry
-	ckpts    []checkpoint // ascending stepIdx, path-global tapeIdx
-	fork     tapeEntry    // valid iff children[0] != nil
-	children [2]*treeNode // indexed by tapeEntry.branch outcome
-	domBits  []int        // leaf only: bits after the full path
-	// prob is the path probability of reaching this node along recorded
-	// branches, as estimated by the builder; reporting only.
-	prob float64
+	// exits[i] is the exit child of tape[i], nil until grown. Children
+	// are published atomically, so walks read them without the plan
+	// lock while another run grows the tree.
+	exits   []atomic.Pointer[treeNode]
+	ckpts   []checkpoint // ascending stepIdx, path-global tapeIdx
+	domBits []int        // bits after the full path
 }
 
-// isLeaf reports whether the node ends a dominant path.
-func (n *treeNode) isLeaf() bool { return n.children[0] == nil }
-
 // checkpointBefore returns the latest checkpoint on the root-to-n path
-// whose stepIdx is at or before the given schedule step. The root's
+// whose stepIdx is at or before the given schedule step. Above a path
+// only its parent's prefix up to the exit step is shared, so the
+// search never returns a parent checkpoint past an exit. The root's
 // initial checkpoint (stepIdx 0) guarantees a hit.
 func (n *treeNode) checkpointBefore(step int) *checkpoint {
 	for node := n; node != nil; node = node.parent {
@@ -186,44 +185,54 @@ func (n *treeNode) checkpointBefore(step int) *checkpoint {
 		if i > 0 {
 			return &ck[i-1]
 		}
+		if node.exitStep < step {
+			step = node.exitStep
+		}
 	}
 	panic("backend: no checkpoint at or before step") // root ckpt 0 prevents this
 }
 
 // prefixPlan is the per-program artifact of the dominant-path build: a
-// tape tree whose nodes share the threshold-tape and checkpoint
-// machinery of the single-path engine.
+// tape tree that starts as one spine and grows exit children from
+// trial traffic. mu serializes growth; walks never take it.
 type prefixPlan struct {
-	root     *treeNode
-	nodes    []*treeNode // all nodes, depth-first creation order; nodes[0] == root
-	leaves   []*treeNode // leaf nodes, depth-first order
+	root *treeNode
+
+	mu       sync.Mutex
+	paths    []*treeNode // all paths, creation order; paths[0] == root
 	maxDepth int
 	// stateBytes is the checkpoint memory footprint (amplitude buffers
-	// only), reported by benchmarks as the engine's space overhead.
+	// only), reported by benchmarks and the PlanBytes gauge.
 	stateBytes int64
+	// full is set once growth hit the path cap or the byte budget, so
+	// later runs skip counting arrivals.
+	full atomic.Bool
 }
 
-// Tree and checkpoint budgets. A fork adds a dominant path for a
-// minority branch: trials whose first divergence lands on a forked site
-// keep walking the tape at zero state cost, and when they diverge again
-// later they replay from one of the new path's own checkpoints — so
-// every fork shifts replay suffixes toward the tail of the schedule.
-// forkMinProb is deliberately small (a fraction of a typical calibrated
-// damping or measurement minority) so the depth-first build spends the
-// leaf budget on the earliest qualifying sites, where the suffix saving
-// is largest; Pauli entries still never fork (their error branch draws
-// an extra uniform, breaking the draw-index accounting). Checkpoint
-// memory is bounded twice over: the worst case is
-// maxTreeLeaves * (maxCheckpoints+1) * 16*2^n bytes, and
-// planStateBudget caps the actual footprint — forks stop at half the
-// budget (reserving room for the paths already committed) and
+// canGrow reports whether the plan may add another path: the path cap
+// has room and checkpoint memory is below half the plan budget (the
+// new path still snapshots as it builds). Callers hold mu.
+func (p *prefixPlan) canGrow() bool {
+	return len(p.paths) < maxTreePaths && p.stateBytes < planStateBudget/2
+}
+
+// Tree and checkpoint budgets. An exit child adds a dominant path for a
+// minority branch: trials leaving the tree there keep walking the tape
+// at zero state cost, and when they diverge again later they replay
+// from one of the new path's own checkpoints — so every exit shifts
+// replay suffixes toward the tail of the schedule. An exit is grown
+// only once growMinArrivals trials of one run reach it, so checkpoint
+// memory follows traffic instead of the schedule's branch structure.
+// Checkpoint memory is bounded twice over: the worst case is
+// maxTreePaths * (maxCheckpoints+1) * 16*2^n bytes, and planStateBudget
+// caps the actual footprint — growth stops at half the budget and
 // checkpoint snapshots stop at the full budget, degrading replay
 // granularity instead of exhausting memory on wide states.
 const (
 	maxCheckpoints       = 24
 	minCheckpointSpacing = 12
-	maxTreeLeaves        = 96
-	forkMinProb          = 0.003
+	maxTreePaths         = 96
+	growMinArrivals      = 16
 	planStateBudget      = 256 << 20
 )
 
@@ -241,7 +250,7 @@ func checkpointSpacing(nSteps int) int {
 var engineStats struct {
 	plansBuilt    atomic.Int64
 	planFallbacks atomic.Int64
-	treeLeaves    atomic.Int64
+	planPaths     atomic.Int64
 	fullDominant  atomic.Int64
 	divergent     atomic.Int64
 
@@ -264,17 +273,17 @@ var engineStats struct {
 
 // EngineStats is a snapshot of the trajectory engine's counters.
 type EngineStats struct {
-	// PlansBuilt / PlanFallbacks count prefix plans built vs programs
-	// that fell back to the legacy loop (a Kraus set the tape cannot
-	// model). A nonzero fallback count flags that campaigns are silently
-	// running without prefix sharing.
+	// PlansBuilt / PlanFallbacks count prefix plans built (one spine per
+	// compiled program) vs programs that fell back to the legacy loop (a
+	// Kraus set the tape cannot model). A nonzero fallback count flags
+	// that campaigns are silently running without prefix sharing.
 	PlansBuilt    int64
 	PlanFallbacks int64
-	// TreeLeaves is the total number of dominant paths across built
-	// plans (1 per plan when no fork criterion fired).
-	TreeLeaves int64
-	// FullDominantTrials resolved on a leaf with zero state work;
-	// DivergentTrials replayed a suffix from a checkpoint.
+	// PlanPaths is the total number of dominant paths across built
+	// plans: one spine per plan plus every exit child grown since.
+	PlanPaths int64
+	// FullDominantTrials resolved at the end of a path with zero state
+	// work; DivergentTrials replayed a suffix from a checkpoint.
 	FullDominantTrials int64
 	DivergentTrials    int64
 
@@ -318,7 +327,7 @@ func EngineStatsSnapshot() EngineStats {
 	return EngineStats{
 		PlansBuilt:         engineStats.plansBuilt.Load(),
 		PlanFallbacks:      engineStats.planFallbacks.Load(),
-		TreeLeaves:         engineStats.treeLeaves.Load(),
+		PlanPaths:          engineStats.planPaths.Load(),
 		FullDominantTrials: engineStats.fullDominant.Load(),
 		DivergentTrials:    engineStats.divergent.Load(),
 		StabPrograms:       engineStats.stabPrograms.Load(),
@@ -341,7 +350,7 @@ func EngineStatsSnapshot() EngineStats {
 func ResetEngineStats() {
 	engineStats.plansBuilt.Store(0)
 	engineStats.planFallbacks.Store(0)
-	engineStats.treeLeaves.Store(0)
+	engineStats.planPaths.Store(0)
 	engineStats.fullDominant.Store(0)
 	engineStats.divergent.Store(0)
 	engineStats.stabPrograms.Store(0)
@@ -379,68 +388,70 @@ func (t *engineTally) flush() {
 	t.full, t.div, t.stab = 0, 0, 0
 }
 
-// planFor returns the program's prefix plan, building it on first use.
-// It returns nil when the machine runs the legacy engine.
+// planFor returns the program's prefix plan, building its spine on
+// first use. It returns nil when the machine runs the legacy engine.
 func (m *Machine) planFor(prog *program) *prefixPlan {
 	if m.engine == EngineLegacy {
 		return nil
 	}
-	prog.prefixOnce.Do(func() { prog.prefix = buildPrefixPlan(prog) })
+	prog.prefixOnce.Do(func() {
+		prog.prefix = buildPrefixPlan(prog)
+		if prog.prefix != nil {
+			m.chargePlan(prog, prog.prefix.stateBytes)
+		}
+	})
 	return prog.prefix
 }
 
-// treeBuilder carries the shared state of the depth-first dominant-path
-// build: the leaf budget, checkpoint spacing, and the schedule position
-// of the first measurement (which gets an extra snapshot so the common
-// "gates stayed dominant, a measurement diverged" replay is bounded by
-// the measurement block).
+// treeBuilder carries the shared parameters of path builds: checkpoint
+// spacing and the schedule position of the first measurement (which
+// gets an extra snapshot so the common "gates stayed dominant, a
+// measurement diverged" replay is bounded by the measurement block).
 type treeBuilder struct {
 	prog      *program
 	plan      *prefixPlan
 	spacing   int
 	firstMeas int
-	leaves    int
 }
 
+func newTreeBuilder(prog *program, plan *prefixPlan) *treeBuilder {
+	b := &treeBuilder{
+		prog:      prog,
+		plan:      plan,
+		spacing:   checkpointSpacing(len(prog.steps)),
+		firstMeas: -1,
+	}
+	for i := range prog.steps {
+		if prog.steps[i].kind == stepMeasure {
+			b.firstMeas = i
+			break
+		}
+	}
+	return b
+}
+
+// newNode registers a path node. Callers hold plan.mu once the plan is
+// published.
 func (b *treeBuilder) newNode(parent *treeNode) *treeNode {
-	n := &treeNode{id: len(b.plan.nodes), parent: parent, prob: 1}
+	n := &treeNode{id: len(b.plan.paths), parent: parent, exitIdx: -1, exitStep: math.MaxInt}
 	if parent != nil {
 		n.depth = parent.depth + 1
 	}
 	if n.depth > b.plan.maxDepth {
 		b.plan.maxDepth = n.depth
 	}
-	b.plan.nodes = append(b.plan.nodes, n)
+	b.plan.paths = append(b.plan.paths, n)
 	return n
 }
 
-// lastCkptOnPath returns the most recent checkpoint on the root-to-node
-// path, or nil before the initial checkpoint exists.
-func lastCkptOnPath(node *treeNode) *checkpoint {
-	for n := node; n != nil; n = n.parent {
-		if len(n.ckpts) > 0 {
-			return &n.ckpts[len(n.ckpts)-1]
-		}
-	}
-	return nil
-}
-
-// canFork reports whether the build may open another dominant path:
-// the leaf budget has room and checkpoint memory is below half the
-// plan budget (the committed paths still snapshot as they build).
-func (b *treeBuilder) canFork() bool {
-	return b.leaves < maxTreeLeaves && b.plan.stateBytes < planStateBudget/2
-}
-
 // snapshot records a checkpoint of the current path state before
-// schedule step stepIdx with tapeIdx path draws consumed, skipping
-// duplicates at the same step. Once the plan's checkpoint memory
-// reaches planStateBudget no further snapshots are taken — replay
-// restores from an ancestor checkpoint instead (lastCkptOnPath /
-// checkpointBefore already walk up the tree), trading replay
-// granularity for a bounded footprint.
-func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, stepIdx, tapeIdx int) {
-	if last := lastCkptOnPath(node); last != nil && last.stepIdx == stepIdx {
+// schedule step stepIdx, skipping duplicates at the same step. Once the
+// plan's checkpoint memory reaches planStateBudget no further snapshots
+// are taken — replay restores from an earlier checkpoint instead
+// (checkpointBefore walks up the tree), trading replay granularity for
+// a bounded footprint.
+func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, stepIdx int) {
+	if k := len(node.ckpts); k > 0 && node.ckpts[k-1].stepIdx == stepIdx {
 		return
 	}
 	if b.plan.stateBytes >= planStateBudget {
@@ -448,21 +459,21 @@ func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, st
 	}
 	node.ckpts = append(node.ckpts, checkpoint{
 		stepIdx: stepIdx,
-		tapeIdx: tapeIdx,
+		tapeIdx: node.start + len(node.tape),
 		state:   s.Clone(),
 		bits:    append([]int(nil), bits...),
 	})
 	b.plan.stateBytes += int64(16) << uint(b.prog.nLocal)
 }
 
-// buildPrefixPlan builds the tape tree: the dominant path is executed
-// once per segment — unitary steps evolve the state through the shared
-// kernels, stochastic steps record their threshold and apply their
-// preferred branch — and near-50/50 comparisons fork the build while
-// the leaf budget lasts. It returns nil if the schedule contains a
-// stochastic step the tape cannot model (a Kraus set that is not two
-// operators — nothing the noise model emits), which falls the machine
-// back to the legacy loop.
+// buildPrefixPlan builds a plan's spine: the dominant path is executed
+// once — unitary steps evolve the state through the shared kernels,
+// stochastic steps record their threshold and apply their preferred
+// branch. Exit children are grown later, from trial traffic
+// (growExits). It returns nil if the schedule contains a stochastic
+// step the tape cannot model (a Kraus set that is not two operators —
+// nothing the noise model emits), which falls the machine back to the
+// legacy loop.
 func buildPrefixPlan(prog *program) *prefixPlan {
 	for i := range prog.steps {
 		st := &prog.steps[i]
@@ -473,52 +484,34 @@ func buildPrefixPlan(prog *program) *prefixPlan {
 		}
 	}
 	plan := &prefixPlan{}
-	b := &treeBuilder{
-		prog:      prog,
-		plan:      plan,
-		spacing:   checkpointSpacing(len(prog.steps)),
-		firstMeas: -1,
-		leaves:    1,
-	}
-	for i := range prog.steps {
-		if prog.steps[i].kind == stepMeasure {
-			b.firstMeas = i
-			break
-		}
-	}
+	b := newTreeBuilder(prog, plan)
 	root := b.newNode(nil)
 	root.ckpts = append(root.ckpts, checkpoint{stepIdx: 0, tapeIdx: 0})
 	plan.root = root
 	s := statevec.GetState(prog.nLocal)
 	defer statevec.PutState(s)
-	bits := make([]int, prog.numClbits)
-	b.build(root, s, bits, 0, 0, 0)
-	for _, n := range plan.nodes {
-		if n.isLeaf() {
-			plan.leaves = append(plan.leaves, n)
-		}
-	}
+	b.build(root, s, make([]int, prog.numClbits), 0, subStart)
 	engineStats.plansBuilt.Add(1)
-	engineStats.treeLeaves.Add(int64(len(plan.leaves)))
+	engineStats.planPaths.Add(1)
 	return plan
 }
 
-// Sub-step positions for resuming a schedule step after a fork: a damp
-// step samples its amplitude channel then its dephasing channel, and a
-// fork at either leaves the rest of the step to the children.
+// Sub-step positions for resuming a schedule step after an exit: a damp
+// step samples its amplitude channel then its dephasing channel, and an
+// exit at either leaves the rest of the step to the child path.
 const (
 	subStart  = 0 // execute the whole step
 	subAfterA = 1 // amplitude Kraus done (damp) / measurement done
 	subAfterP = 2 // both damp channels done
 )
 
-// build executes the dominant path of node's segment from schedule
-// position (startStep, startSub) with tapeIdx path draws consumed. s
-// and bits are the running path state; build either completes the
-// schedule (node becomes a leaf) or forks and recurses into both
-// children, cloning the state once for the minority branch.
-func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, startStep, startSub, tapeIdx int) {
+// build executes node's dominant path from schedule position
+// (startStep, startSub) to the end of the schedule, recording its tape
+// and checkpoints. s and bits are the running path state.
+func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, startStep, startSub int) {
 	prog := b.prog
+	node.tape = make([]tapeEntry, 0, drawsFrom(prog, startStep, startSub))
+	var probs [2]float64
 	for i := startStep; i < len(prog.steps); i++ {
 		st := &prog.steps[i]
 		sub := subStart
@@ -526,7 +519,7 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 			sub = startSub
 		}
 		if i == b.firstMeas && sub == subStart {
-			b.snapshot(node, s, bits, i, tapeIdx)
+			b.snapshot(node, s, bits, i)
 		}
 		switch st.kind {
 		case stepU1, stepU2:
@@ -536,165 +529,267 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 			// branch whenever p < 1/2, which holds for every calibrated
 			// error rate; it is also the only branch with a fixed draw
 			// count (one uniform), which is what keeps path draw index ==
-			// trial draw index — and why Pauli entries never fork.
+			// trial draw index — and why Pauli entries never carry exits.
 			if st.p > 0 {
 				node.tape = append(node.tape, tapeEntry{op: tapeBern, a: st.p, step: int32(i)})
-				tapeIdx++
 			}
 		case stepDamp:
 			if st.ampK != nil && sub < subAfterA {
-				if b.emitKraus(node, s, bits, st.ampK, st.q0, i, subAfterA, &tapeIdx) {
-					return
-				}
+				b.emitKraus(node, s, st.ampK, st.q0, i, &probs)
 			}
 			if st.phK != nil && sub < subAfterP {
-				if b.emitKraus(node, s, bits, st.phK, st.q0, i, subAfterP, &tapeIdx) {
-					return
-				}
+				b.emitKraus(node, s, st.phK, st.q0, i, &probs)
 			}
 		case stepMeasure:
 			if sub == subStart {
-				if b.emitMeasure(node, s, bits, st, i, &tapeIdx) {
-					return
+				p1 := s.ProbabilityOne(st.q0)
+				e := tapeEntry{op: tapeMeas0, a: p1, step: int32(i)}
+				if p1 >= 0.5 {
+					e.op = tapeMeas1
 				}
+				node.tape = append(node.tape, e)
+				s.Project(st.q0, e.recorded())
+				bits[st.cbit] = e.recorded()
 			}
 		}
 		if (i+1)%b.spacing == 0 && i+1 < len(prog.steps) {
-			b.snapshot(node, s, bits, i+1, tapeIdx)
+			b.snapshot(node, s, bits, i+1)
 		}
 	}
 	node.domBits = append([]int(nil), bits...)
+	node.exits = make([]atomic.Pointer[treeNode], len(node.tape))
 }
 
-// fork turns node into an internal node at the given entry and builds
-// both children from schedule position (stepIdx, nextSub): apply is
-// called with the branch index and the branch's state to take the
-// branch's state update. The dominant branch continues in place; the
-// minority branch gets a one-off clone.
-func (b *treeBuilder) fork(node *treeNode, s *statevec.State, bits []int, entry tapeEntry,
-	dom int, pDom float64, stepIdx, nextSub, tapeIdx int,
-	apply func(branch int, bs *statevec.State, bb []int)) {
-	node.fork = entry
-	b.leaves++
-	other := s.Clone()
-	otherBits := append([]int(nil), bits...)
-	cd := b.newNode(node)
-	cd.prob = node.prob * pDom
-	node.children[dom] = cd
-	apply(dom, s, bits)
-	b.build(cd, s, bits, stepIdx, nextSub, tapeIdx)
-	co := b.newNode(node)
-	co.prob = node.prob * (1 - pDom)
-	node.children[1-dom] = co
-	apply(1-dom, other, otherBits)
-	b.build(co, other, otherBits, stepIdx, nextSub, tapeIdx)
+// drawsFrom counts the stochastic draws a dominant path makes from
+// schedule position (step, sub) to the end: the length of its tape.
+func drawsFrom(prog *program, step, sub int) int {
+	n := 0
+	for i := step; i < len(prog.steps); i++ {
+		st := &prog.steps[i]
+		if i > step {
+			sub = subStart
+		}
+		switch st.kind {
+		case stepPauli1, stepPauli2:
+			if st.p > 0 {
+				n++
+			}
+		case stepDamp:
+			if st.ampK != nil && sub < subAfterA {
+				n++
+			}
+			if st.phK != nil && sub < subAfterP {
+				n++
+			}
+		case stepMeasure:
+			if sub == subStart {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // emitKraus records one two-operator Kraus selection on the dominant
 // path: branch probabilities are computed exactly as a live
-// ApplyKraus1Q would on this state, the higher-probability branch is
-// recorded and applied (pre-scaled, through the same kernels). It
-// returns true if the selection forked (the children own the rest of
-// the schedule).
-func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State, bits []int,
-	ks []circuit.Matrix2, q, stepIdx, nextSub int, tapeIdx *int) bool {
-	var probs [2]float64
+// ApplyKraus1Q would on this state, and the higher-probability branch
+// is recorded and applied (pre-scaled, through the same kernels).
+func (b *treeBuilder) emitKraus(node *treeNode, s *statevec.State,
+	ks []circuit.Matrix2, q, stepIdx int, probs *[2]float64) {
 	s.KrausBranchProbs1Q(ks, q, probs[:])
 	// total replicates rng.Choose's summation order.
-	total := probs[0] + probs[1]
-	dom := 0
-	op := tapeChoose0
+	e := tapeEntry{op: tapeChoose0, a: probs[0], b: probs[0] + probs[1], step: int32(stepIdx)}
 	if probs[1] > probs[0] {
-		dom = 1
-		op = tapeChoose1
+		e.op = tapeChoose1
 	}
-	entry := tapeEntry{op: op, a: probs[0], b: total, step: int32(stepIdx)}
-	if minor := probs[1-dom] / total; minor >= forkMinProb && b.canFork() {
-		*tapeIdx++
-		b.fork(node, s, bits, entry, dom, probs[dom]/total, stepIdx, nextSub, *tapeIdx,
-			func(branch int, bs *statevec.State, _ []int) {
-				bs.ApplyKrausBranch1Q(ks, q, branch, probs[branch])
-			})
-		return true
-	}
-	node.tape = append(node.tape, entry)
-	*tapeIdx++
+	node.tape = append(node.tape, e)
+	dom := e.recorded()
 	s.ApplyKrausBranch1Q(ks, q, dom, probs[dom])
-	return false
 }
 
-// emitMeasure records one measurement on the dominant path, forking
-// when the outcome is near-50/50 (the canonical genuinely random branch
-// point: measuring an equal superposition). It returns true if the
-// measurement forked.
-func (b *treeBuilder) emitMeasure(node *treeNode, s *statevec.State, bits []int,
-	st *step, stepIdx int, tapeIdx *int) bool {
-	p1 := s.ProbabilityOne(st.q0)
-	dom := 0
-	op := tapeMeas0
-	if p1 >= 0.5 {
-		dom = 1
-		op = tapeMeas1
+// exitKey names one exit: tape entry idx of path node.
+type exitKey struct {
+	node *treeNode
+	idx  int
+}
+
+// growExits grows the tree from one run's divergent trials: every
+// unbuilt exit of a two-outcome entry that at least growMinArrivals of
+// divs left the tree at gets its child path, busiest exits first, while
+// the plan has room. Growth runs under the plan lock and publishes
+// each child atomically, so concurrent runs of one cached program walk
+// either the old or the new tree — both give the same Counts.
+func (m *Machine) growExits(prog *program, plan *prefixPlan, divs []divTrial) {
+	if plan.full.Load() {
+		return
 	}
-	entry := tapeEntry{op: op, a: p1, step: int32(stepIdx)}
-	minor := p1
-	if dom == 1 {
-		minor = 1 - p1
-	}
-	if minor >= forkMinProb && b.canFork() {
-		pDom := p1
-		if dom == 0 {
-			pDom = 1 - p1
+	arrivals := make(map[exitKey]int)
+	for i := range divs {
+		if d := &divs[i]; d.entry().op != tapeBern {
+			arrivals[exitKey{d.node, d.pos - d.node.start}]++
 		}
-		*tapeIdx++
-		b.fork(node, s, bits, entry, dom, pDom, stepIdx, subAfterA, *tapeIdx,
-			func(branch int, bs *statevec.State, bb []int) {
-				bs.Project(st.q0, branch)
-				bb[st.cbit] = branch
-			})
-		return true
 	}
-	node.tape = append(node.tape, entry)
-	*tapeIdx++
-	s.Project(st.q0, dom)
-	bits[st.cbit] = dom
-	return false
+	var keys []exitKey
+	for k, c := range arrivals {
+		if c >= growMinArrivals {
+			keys = append(keys, k)
+		}
+	}
+	if len(keys) == 0 {
+		return
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		ci, cj := arrivals[keys[i]], arrivals[keys[j]]
+		if ci != cj {
+			return ci > cj
+		}
+		if keys[i].node.id != keys[j].node.id {
+			return keys[i].node.id < keys[j].node.id
+		}
+		return keys[i].idx < keys[j].idx
+	})
+	plan.mu.Lock()
+	defer plan.mu.Unlock()
+	before := plan.stateBytes
+	b := newTreeBuilder(prog, plan)
+	for _, k := range keys {
+		if !plan.canGrow() {
+			break
+		}
+		if k.node.exits[k.idx].Load() == nil {
+			b.buildExit(k.node, k.idx)
+		}
+	}
+	plan.full.Store(!plan.canGrow())
+	m.chargePlan(prog, plan.stateBytes-before)
+}
+
+// buildExit builds and publishes the exit child of parent.tape[idx]:
+// restore the tightest on-path checkpoint before the exit, replay the
+// path's recorded branches up to the exit, take the minority branch
+// there, and build the dominant path on from the exit's sub-step.
+// Callers hold plan.mu.
+func (b *treeBuilder) buildExit(parent *treeNode, idx int) {
+	prog := b.prog
+	exitStep := int(parent.tape[idx].step)
+	ck := parent.checkpointBefore(exitStep)
+	s := statevec.GetState(prog.nLocal)
+	defer statevec.PutState(s)
+	bits := make([]int, prog.numClbits)
+	if ck.state != nil {
+		s.CopyFrom(ck.state)
+		copy(bits, ck.bits)
+	}
+	step, sub := b.replayScript(s, bits, ck.stepIdx, pathScript(parent, idx, ck.tapeIdx))
+	if step != exitStep {
+		panic("backend: exit replay ended off its exit step")
+	}
+	child := b.newNode(parent)
+	child.exitIdx, child.exitStep, child.start = idx, exitStep, parent.start+idx+1
+	b.build(child, s, bits, step, sub)
+	parent.exits[idx].Store(child)
+	engineStats.planPaths.Add(1)
+}
+
+// pathScript returns the branches a trial takes on the path to the
+// minority branch of n.tape[idx], one per path draw from draw index
+// `from` through the exit draw itself. Each node on the path
+// contributes its recorded branches up to the entry where the path
+// leaves it, and that entry's minority branch.
+func pathScript(n *treeNode, idx, from int) []int {
+	script := make([]int, n.start+idx+1-from)
+	for node, end := n, idx; node != nil; node, end = node.parent, node.exitIdx {
+		for j := end; j >= 0; j-- {
+			g := node.start + j
+			if g < from {
+				return script
+			}
+			br := node.tape[j].recorded()
+			if j == end {
+				br ^= 1
+			}
+			script[g-from] = br
+		}
+	}
+	return script
+}
+
+// replayScript re-executes the schedule from step `from` along a branch
+// script, one branch per stochastic draw, through the builder's
+// kernels, and returns the schedule position (step, sub-step) right
+// after the script's last draw. Bernoulli draws take "no error" and
+// leave the state alone, as on the tape.
+func (b *treeBuilder) replayScript(s *statevec.State, bits []int, from int, script []int) (int, int) {
+	prog := b.prog
+	var probs [2]float64
+	k := 0
+	for i := from; i < len(prog.steps); i++ {
+		st := &prog.steps[i]
+		switch st.kind {
+		case stepU1, stepU2:
+			applyUnitaryStep(s, st)
+		case stepPauli1, stepPauli2:
+			if st.p > 0 {
+				k++
+			}
+		case stepDamp:
+			if st.ampK != nil {
+				s.KrausBranchProbs1Q(st.ampK, st.q0, probs[:])
+				s.ApplyKrausBranch1Q(st.ampK, st.q0, script[k], probs[script[k]])
+				if k++; k == len(script) {
+					return i, subAfterA
+				}
+			}
+			if st.phK != nil {
+				s.KrausBranchProbs1Q(st.phK, st.q0, probs[:])
+				s.ApplyKrausBranch1Q(st.phK, st.q0, script[k], probs[script[k]])
+				if k++; k == len(script) {
+					return i, subAfterP
+				}
+			}
+		case stepMeasure:
+			s.Project(st.q0, script[k])
+			bits[st.cbit] = script[k]
+			if k++; k == len(script) {
+				return i, subAfterA
+			}
+		}
+	}
+	panic("backend: branch script outlasted the schedule")
 }
 
 // testHookPrefix, when set by a test, observes each trial's tape-tree
-// walk: the node where the walk ended (a leaf for fully dominant
-// trials), the path draw index of the first divergent draw or -1 for a
-// fully dominant trial, and the trial stream after its last draw, which
-// the draw-order contract test compares against the legacy loop's
-// stream. Production runs leave it nil.
+// walk: the path where the walk ended, the path draw index of the first
+// divergent draw or -1 for a fully dominant trial, and the trial stream
+// after its last draw, which the draw-order contract test compares
+// against the legacy loop's stream. Production runs leave it nil.
 var testHookPrefix func(trial, nodeID, divergedAt int, final *rng.RNG)
 
-// walkTape burns a trial stream's uniforms against the tape tree: every
-// tape entry consumes one uniform and is re-evaluated with the live
-// comparison, every fork consumes one uniform and selects a child. It
-// returns the node where the walk ended, the schedule step of the first
-// divergent draw (-1 for a fully dominant trial — the node is then a
-// leaf and rt is positioned exactly before the readout draws), and the
-// path draw index of the divergent draw (-1 when dominant). It is the
-// state-free front half of both the sequential trial path
+// walkTape burns a trial stream's uniforms against the tape tree from
+// the start of path node (the root for a fresh trial), with rt
+// positioned at node.start: every tape
+// entry consumes one uniform and is re-evaluated with the live
+// comparison, and a minority branch with a grown exit moves the walk
+// onto the exit child. It returns the path where the walk ended, the
+// schedule step of the first divergent draw (-1 for a fully dominant
+// trial — rt is then positioned exactly before the readout draws), and
+// the path draw index of the divergent draw (-1 when dominant). It is
+// the state-free front half of both the sequential trial path
 // (runTrialShared) and the batched replay scheduler's walk phase.
-func walkTape(plan *prefixPlan, rt *rng.RNG) (node *treeNode, divStep, divPos int) {
-	node = plan.root
-	pos := 0 // path draw index
+func walkTape(node *treeNode, rt *rng.RNG) (_ *treeNode, divStep, divPos int) {
+walk:
 	for {
-		tape := node.tape
-		for i := range tape {
-			if !tape[i].follows(rt.Float64()) {
-				return node, int(tape[i].step), pos + i
+		for i := range node.tape {
+			e := &node.tape[i]
+			if !e.follows(rt.Float64()) {
+				if exit := node.exits[i].Load(); exit != nil {
+					node = exit
+					continue walk
+				}
+				return node, int(e.step), node.start + i
 			}
 		}
-		pos += len(tape)
-		if node.isLeaf() {
-			return node, -1, -1
-		}
-		// Fork: one uniform selects the child with the live comparison.
-		node = node.children[node.fork.branch(rt.Float64())]
-		pos++
+		return node, -1, -1
 	}
 }
 
@@ -704,9 +799,9 @@ func walkTape(plan *prefixPlan, rt *rng.RNG) (node *treeNode, divStep, divPos in
 // every workload.
 func (m *Machine) runTrialShared(prog *program, plan *prefixPlan, scratch *statevec.State, trueBits []int, r *rng.RNG, t int, tally *engineTally) bitstr.BitString {
 	rt := r.DeriveN("trial", t)
-	node, divStep, divPos := walkTape(plan, rt)
+	node, divStep, divPos := walkTape(plan.root, rt)
 	if divStep < 0 {
-		// Fully dominant: the trial shares this leaf's final state, so
+		// Fully dominant: the trial shares this path's final state, so
 		// only its readout draws are private. rt has consumed exactly as
 		// many uniforms as a live trajectory consumes before readout on
 		// this path.
@@ -718,10 +813,10 @@ func (m *Machine) runTrialShared(prog *program, plan *prefixPlan, scratch *state
 		}
 		return out
 	}
-	// Divergent from every path through this node: restore the nearest
-	// checkpoint on the followed path at or before the divergent step and
-	// replay the suffix through the legacy loop with a fresh stream
-	// skipped to the checkpoint's draw index.
+	// Divergent where no exit exists: restore the nearest checkpoint on
+	// the followed path at or before the divergent step and replay the
+	// suffix through the legacy loop with a fresh stream skipped to the
+	// checkpoint's draw index.
 	ck := node.checkpointBefore(divStep)
 	rr := r.DeriveN("trial", t)
 	rr.Skip(ck.tapeIdx)

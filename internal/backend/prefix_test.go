@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -117,16 +118,21 @@ func newCountingStream(root *rng.RNG, t int) *countingStream {
 
 func (c *countingStream) draws() uint64 { return rng.DrawCount(c.base, c.r.State()) }
 
+// pathList returns a snapshot of the plan's paths in creation order.
+func (p *prefixPlan) pathList() []*treeNode {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]*treeNode(nil), p.paths...)
+}
+
 // pathDraws returns the number of stochastic draws a trial consumes
-// scanning from the root through node's tape segment: one per tape
-// entry on the path, plus one per fork crossed to reach node.
+// walking from the root to the end of path n: every ancestor's tape up
+// to and including the exit entry the path leaves it at, then n's own
+// tape.
 func pathDraws(n *treeNode) uint64 {
-	var d uint64
-	for node := n; node != nil; node = node.parent {
-		d += uint64(len(node.tape))
-		if node.parent != nil {
-			d++ // the fork draw that selected this node
-		}
+	d := uint64(len(n.tape))
+	for c := n; c.parent != nil; c = c.parent {
+		d += uint64(c.exitIdx + 1)
 	}
 	return d
 }
@@ -136,10 +142,12 @@ func pathDraws(n *treeNode) uint64 {
 // for every trial of every workload, the legacy loop and the prefix
 // engine must land the trial stream on the same final state (equal
 // total draw counts from the same derivation base) and produce the same
-// outcome bits. It also checks the engine's internal accounting — a
-// trial that diverged at path draw index i consumed exactly i+1 scan
-// draws — and that the suite exercises fully dominant trials on the
-// root leaf, dominant trials on forked leaves, and divergent trials.
+// outcome bits. Each plan is first grown by a batched run on the same
+// streams, so the sequential walk crosses exits. The test also checks
+// the engine's internal accounting — a trial that diverged at path
+// draw index i did so on its path's own tape — and that the suite
+// exercises fully dominant trials on the spine, dominant trials on an
+// exit path, and divergent trials.
 func TestPrefixDrawOrderContract(t *testing.T) {
 	exes := physicalWorkloads(t)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
@@ -156,7 +164,7 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 	defer func() { testHookPrefix = nil }()
 
 	// The paper workloads plus a GHZ chain, whose first measurement is an
-	// exact 50/50 branch point — the canonical fork.
+	// exact 50/50 branch point — the canonical busy exit.
 	circuits := map[string]*circuit.Circuit{"ghz-chain": benchCircuit(6)}
 	for name, exe := range exes {
 		circuits[name] = exe.Circuit
@@ -172,11 +180,12 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 		if plan == nil {
 			t.Fatalf("%s: no prefix plan", name)
 		}
+		root := rng.New(99)
+		m.runBatched(prog, plan, trials, root, nil)
 		sLegacy := statevec.NewState(prog.nLocal)
 		sPrefix := statevec.NewState(prog.nLocal)
 		bitsLegacy := make([]int, prog.numClbits)
 		bitsPrefix := make([]int, prog.numClbits)
-		root := rng.New(99)
 		var tally engineTally
 		for trial := 0; trial < trials; trial++ {
 			legacyStream := newCountingStream(root, trial)
@@ -199,20 +208,17 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 			if legacyStream.r.State() != prefixStream.r.State() {
 				t.Fatalf("%s trial %d: final stream state differs", name, trial)
 			}
-			if hookNode < 0 || hookNode >= len(plan.nodes) {
-				t.Fatalf("%s trial %d: hook node id %d out of range", name, trial, hookNode)
+			if hookNode < 0 || hookNode >= len(plan.paths) {
+				t.Fatalf("%s trial %d: hook path id %d out of range", name, trial, hookNode)
 			}
-			node := plan.nodes[hookNode]
+			node := plan.paths[hookNode]
 			if hookDiv < 0 {
-				if !node.isLeaf() {
-					t.Fatalf("%s trial %d: dominant trial ended on internal node %d", name, trial, hookNode)
-				}
 				sawDominant = true
 				if node.depth > 0 {
 					sawForkedDominant = true
 				}
 				// A fully dominant trial consumes one draw per tape entry on
-				// its path, one per fork crossed, plus one readout draw per
+				// its path (exit entries included), plus one readout draw per
 				// measured bit — nothing else.
 				wantDraws := pathDraws(node)
 				for _, q := range prog.measPhys {
@@ -226,9 +232,13 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 				}
 			} else {
 				sawDivergent = true
-				if uint64(hookDiv) >= pathDraws(node) {
-					t.Fatalf("%s trial %d: divergence index %d past node %d's path draws",
-						name, trial, hookDiv, hookNode)
+				own := pathDraws(node) - uint64(len(node.tape))
+				if uint64(hookDiv) < own || uint64(hookDiv) >= pathDraws(node) {
+					t.Fatalf("%s trial %d: divergence index %d outside path %d's own draws [%d, %d)",
+						name, trial, hookDiv, hookNode, own, pathDraws(node))
+				}
+				if ex := node.exits[uint64(hookDiv)-own].Load(); ex != nil {
+					t.Fatalf("%s trial %d: diverged at an entry whose exit exists", name, trial)
 				}
 			}
 		}
@@ -239,11 +249,11 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 	}
 }
 
-// pathNodes returns the root-to-leaf node sequence of a leaf.
-func pathNodes(leaf *treeNode) []*treeNode {
+// pathNodes returns the root-to-n node sequence of a path.
+func pathNodes(n *treeNode) []*treeNode {
 	var rev []*treeNode
-	for n := leaf; n != nil; n = n.parent {
-		rev = append(rev, n)
+	for c := n; c != nil; c = c.parent {
+		rev = append(rev, c)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
@@ -251,16 +261,17 @@ func pathNodes(leaf *treeNode) []*treeNode {
 	return rev
 }
 
-// TestPrefixPlanShape sanity-checks the built tape tree: node ids index
-// plan.nodes, internal nodes fork into two children while leaves carry
-// path bits, per-path checkpoints are strictly ordered with draw
-// indices that count exactly the path draws of earlier steps, tapes are
-// ordered by schedule step, and checkpointBefore returns the tightest
-// on-path checkpoint. The GHZ bench circuit measures an equal
-// superposition, so the plan must actually fork.
+// TestPrefixPlanShape sanity-checks the tape tree before and after
+// growth. A fresh plan is a bare spine. After a batched run the GHZ
+// chain's 50/50 first measurement must carry a grown exit, and the tree
+// must hold: path ids index plan.paths, every exit links child and
+// parent at a two-outcome entry, checkpoints along each path are
+// strictly ordered with draw indices that count exactly the path draws
+// of earlier steps, checkpointBefore returns the tightest on-path
+// checkpoint, and it never returns a parent checkpoint past an exit.
 func TestPrefixPlanShape(t *testing.T) {
 	m := noisyMachine(7)
-	prog, err := m.getProgram(benchCircuit(14))
+	prog, err := m.getProgram(benchCircuit(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,136 +282,158 @@ func TestPrefixPlanShape(t *testing.T) {
 	if got := m.planFor(prog); got != plan {
 		t.Fatal("planFor rebuilt the plan")
 	}
-	if len(plan.leaves) < 2 || plan.maxDepth < 1 {
-		t.Fatalf("GHZ plan did not fork: %d leaves, depth %d", len(plan.leaves), plan.maxDepth)
+	if len(plan.paths) != 1 || plan.maxDepth != 0 || plan.root != plan.paths[0] {
+		t.Fatalf("fresh plan is not a spine: %d paths, depth %d", len(plan.paths), plan.maxDepth)
 	}
-	if len(plan.leaves) > maxTreeLeaves {
-		t.Fatalf("%d leaves exceed the budget %d", len(plan.leaves), maxTreeLeaves)
-	}
-	if plan.root != plan.nodes[0] {
-		t.Fatal("nodes[0] is not the root")
+	for i := range plan.root.exits {
+		if plan.root.exits[i].Load() != nil {
+			t.Fatalf("fresh spine has a grown exit at entry %d", i)
+		}
 	}
 	if ck0 := &plan.root.ckpts[0]; len(plan.root.ckpts) == 0 ||
 		ck0.stepIdx != 0 || ck0.tapeIdx != 0 || ck0.state != nil {
 		t.Fatal("root lacks the initial zero checkpoint")
 	}
 
-	// Global structure: ids index plan.nodes, internal nodes have both
-	// children with eligible fork ops, leaves have domBits.
-	leaves := 0
-	var stateCkpts int64
-	for i, n := range plan.nodes {
-		if n.id != i {
-			t.Fatalf("node %d has id %d", i, n.id)
+	m.runBatched(prog, plan, 2048, rng.New(3), nil)
+
+	firstMeas := -1
+	for i := range plan.root.tape {
+		if e := &plan.root.tape[i]; e.op == tapeMeas0 || e.op == tapeMeas1 {
+			firstMeas = i
+			break
 		}
-		if n.isLeaf() {
-			leaves++
-			if len(n.domBits) != prog.numClbits {
-				t.Fatalf("leaf %d: domBits length %d, want %d", n.id, len(n.domBits), prog.numClbits)
-			}
-			if n.children[1] != nil {
-				t.Fatalf("leaf %d has a lone child", n.id)
+	}
+	if firstMeas < 0 {
+		t.Fatal("spine records no measurement")
+	}
+	if p1 := plan.root.tape[firstMeas].a; p1 < 0.3 || p1 > 0.7 {
+		t.Fatalf("first measurement P(1) = %v, want near 1/2", p1)
+	}
+	if plan.root.exits[firstMeas].Load() == nil {
+		t.Fatal("the 50/50 measurement exit was not grown")
+	}
+	if len(plan.paths) > maxTreePaths {
+		t.Fatalf("%d paths exceed the cap %d", len(plan.paths), maxTreePaths)
+	}
+
+	// Global structure: ids index plan.paths, exits link both ways at
+	// two-outcome entries, every path ends with its bits.
+	owner := make(map[*checkpoint]*treeNode)
+	var stateCkpts int64
+	for i, n := range plan.paths {
+		if n.id != i {
+			t.Fatalf("path %d has id %d", i, n.id)
+		}
+		if len(n.domBits) != prog.numClbits || len(n.exits) != len(n.tape) || cap(n.tape) != len(n.tape) {
+			t.Fatalf("path %d malformed: %d bits, %d exits for %d entries (tape cap %d)",
+				n.id, len(n.domBits), len(n.exits), len(n.tape), cap(n.tape))
+		}
+		if n.parent == nil {
+			if n != plan.root || n.exitIdx != -1 || n.start != 0 {
+				t.Fatalf("path %d has no parent but is not the root", n.id)
 			}
 		} else {
-			if n.children[1] == nil || n.domBits != nil {
-				t.Fatalf("internal node %d malformed", n.id)
+			p := n.parent
+			if p.exits[n.exitIdx].Load() != n {
+				t.Fatalf("path %d not published at its parent's exit %d", n.id, n.exitIdx)
 			}
-			if op := n.fork.op; op == tapeBern {
-				t.Fatalf("node %d forks on a Bernoulli entry", n.id)
+			if n.depth != p.depth+1 || n.start != p.start+n.exitIdx+1 || n.exitStep != int(p.tape[n.exitIdx].step) {
+				t.Fatalf("path %d: depth/start/exit step inconsistent with its parent", n.id)
 			}
-			if n.children[0].parent != n || n.children[1].parent != n {
-				t.Fatalf("node %d children have wrong parent", n.id)
-			}
-			if n.children[0].depth != n.depth+1 {
-				t.Fatalf("node %d child depth %d, want %d", n.id, n.children[0].depth, n.depth+1)
+		}
+		for j := range n.exits {
+			if c := n.exits[j].Load(); c != nil {
+				if n.tape[j].op == tapeBern {
+					t.Fatalf("path %d grew an exit on a Bernoulli entry", n.id)
+				}
+				if c.parent != n || c.exitIdx != j {
+					t.Fatalf("path %d exit %d links back wrongly", n.id, j)
+				}
 			}
 		}
 		for j := range n.ckpts {
+			owner[&n.ckpts[j]] = n
 			if n.ckpts[j].state != nil {
 				stateCkpts++
 			}
 		}
 	}
-	if leaves != len(plan.leaves) {
-		t.Fatalf("plan.leaves has %d entries, tree has %d leaves", len(plan.leaves), leaves)
-	}
 	if plan.stateBytes != stateCkpts*(16<<uint(prog.nLocal)) {
 		t.Fatalf("stateBytes = %d, inconsistent with %d state checkpoints", plan.stateBytes, stateCkpts)
 	}
 
-	// Per-path structure. A path's draw sequence is each node's tape
-	// followed by its fork draw; checkpoints must be step-ascending along
-	// the path with tapeIdx equal to the path draws of earlier steps.
-	for _, leaf := range plan.leaves {
+	// Per-path structure. A path's draws are each ancestor's tape up to
+	// and including its exit entry, then its own tape; its checkpoints
+	// are each ancestor's up to the exit step, then its own. Checkpoints
+	// must be step-ascending with tapeIdx equal to the path draws of
+	// earlier steps.
+	for _, leaf := range plan.paths {
 		path := pathNodes(leaf)
-		type draw struct{ step int }
-		var draws []draw
-		var ckpts []checkpoint
-		for _, n := range path {
-			for _, e := range n.tape {
-				draws = append(draws, draw{int(e.step)})
+		var draws []int
+		var ckpts []*checkpoint
+		onPath := make(map[*checkpoint]bool)
+		for k, n := range path {
+			end, limit := len(n.tape), math.MaxInt
+			if k+1 < len(path) {
+				end, limit = path[k+1].exitIdx+1, path[k+1].exitStep
 			}
-			ckpts = append(ckpts, n.ckpts...)
-			if !n.isLeaf() {
-				draws = append(draws, draw{int(n.fork.step)})
+			for _, e := range n.tape[:end] {
+				draws = append(draws, int(e.step))
 			}
+			for j := range n.ckpts {
+				if n.ckpts[j].stepIdx <= limit {
+					ckpts = append(ckpts, &n.ckpts[j])
+					onPath[&n.ckpts[j]] = true
+				}
+			}
+		}
+		if uint64(len(draws)) != pathDraws(leaf) {
+			t.Fatalf("path %d: %d draws, pathDraws says %d", leaf.id, len(draws), pathDraws(leaf))
 		}
 		for i := 1; i < len(draws); i++ {
-			if draws[i].step < draws[i-1].step {
-				t.Fatalf("leaf %d: path draws not ordered by schedule step", leaf.id)
+			if draws[i] < draws[i-1] {
+				t.Fatalf("path %d: draws not ordered by schedule step", leaf.id)
 			}
 		}
-		for i := 1; i < len(ckpts); i++ {
-			prev, cur := &ckpts[i-1], &ckpts[i]
-			if cur.stepIdx <= prev.stepIdx || cur.tapeIdx < prev.tapeIdx {
-				t.Fatalf("leaf %d: checkpoints out of order: %d -> %d", leaf.id, prev.stepIdx, cur.stepIdx)
+		for i, cur := range ckpts {
+			if i > 0 && (cur.stepIdx <= ckpts[i-1].stepIdx || cur.tapeIdx < ckpts[i-1].tapeIdx) {
+				t.Fatalf("path %d: checkpoints out of order: %d -> %d", leaf.id, ckpts[i-1].stepIdx, cur.stepIdx)
 			}
-			if cur.state == nil || cur.state.N() != prog.nLocal || len(cur.bits) != prog.numClbits {
-				t.Fatalf("leaf %d: checkpoint at step %d malformed", leaf.id, cur.stepIdx)
+			if i > 0 && (cur.state == nil || cur.state.N() != prog.nLocal || len(cur.bits) != prog.numClbits) {
+				t.Fatalf("path %d: checkpoint at step %d malformed", leaf.id, cur.stepIdx)
 			}
 			n := 0
-			for _, d := range draws {
-				if d.step < cur.stepIdx {
+			for _, step := range draws {
+				if step < cur.stepIdx {
 					n++
 				}
 			}
 			if n != cur.tapeIdx {
-				t.Fatalf("leaf %d checkpoint at step %d: tapeIdx %d, want %d",
+				t.Fatalf("path %d checkpoint at step %d: tapeIdx %d, want %d",
 					leaf.id, cur.stepIdx, cur.tapeIdx, n)
 			}
 		}
-		// checkpointBefore from any node on the path returns the tightest
-		// on-path checkpoint for every draw step of that node's segment.
-		for _, n := range path {
-			for _, e := range n.tape {
-				ck := n.checkpointBefore(int(e.step))
-				if ck.stepIdx > int(e.step) {
-					t.Fatalf("checkpointBefore(%d) returned later step %d", e.step, ck.stepIdx)
-				}
-				for i := range ckpts {
-					c := &ckpts[i]
-					if c.stepIdx > ck.stepIdx && c.stepIdx <= int(e.step) {
-						// Only on-path checkpoints up to n count.
-						onPath := false
-						for _, pn := range path {
-							if pn == n {
-								break
-							}
-							for j := range pn.ckpts {
-								if &pn.ckpts[j] == c {
-									onPath = true
-								}
-							}
-						}
-						for j := range n.ckpts {
-							if &n.ckpts[j] == c {
-								onPath = true
-							}
-						}
-						if onPath {
-							t.Fatalf("checkpointBefore(%d) not tightest (%d vs %d)", e.step, ck.stepIdx, c.stepIdx)
-						}
-					}
+		// checkpointBefore from the path returns the tightest on-path
+		// checkpoint for every draw step of its own tape, and never a
+		// parent checkpoint past the path's exit.
+		for _, e := range leaf.tape {
+			step := int(e.step)
+			ck := leaf.checkpointBefore(step)
+			if !onPath[ck] {
+				t.Fatalf("path %d: checkpointBefore(%d) returned an off-path checkpoint at step %d (owner path %d)",
+					leaf.id, step, ck.stepIdx, owner[ck].id)
+			}
+			if ck.stepIdx > step {
+				t.Fatalf("path %d: checkpointBefore(%d) returned later step %d", leaf.id, step, ck.stepIdx)
+			}
+			if owner[ck] != leaf && ck.stepIdx > leaf.exitStep {
+				t.Fatalf("path %d: checkpointBefore(%d) returned parent checkpoint at step %d past exit step %d",
+					leaf.id, step, ck.stepIdx, leaf.exitStep)
+			}
+			for _, c := range ckpts {
+				if c.stepIdx > ck.stepIdx && c.stepIdx <= step {
+					t.Fatalf("path %d: checkpointBefore(%d) not tightest (%d vs %d)", leaf.id, step, ck.stepIdx, c.stepIdx)
 				}
 			}
 		}

@@ -16,15 +16,23 @@ import (
 // Phase A (walk): workers claim chunks of the trial range from an
 // atomic cursor and burn each trial's stream against the tape tree.
 // Fully dominant trials finish right there — readout draws against the
-// leaf's bits, observed into the worker's private histogram. Divergent
+// path's bits, observed into the worker's private histogram. Divergent
 // trials are cheap to classify (no state work) and are recorded as
-// (trial, checkpoint) pairs.
+// (trial, path, draw index, checkpoint) tuples.
 //
-// Between phases the coordinator buckets divergent trials by their
-// restart checkpoint — checkpoints are interned per plan, so pointer
-// identity keys (tree path, tightest checkpoint, tape segment) at once
-// — sorts each bucket's trials, and fragments big buckets into units no
-// larger than the unit lane budget (maxLanesFor).
+// Growth: between the phases the coordinator grows the tree from the
+// divergent trials (growExits), builds the exit child of every busy
+// minority branch, and re-walks the trials that left there from the new
+// child, with the same walk pass on their streams skipped past the
+// exit draw. Re-walked trials either finish on the child or diverge
+// further down, where the next round may grow again; rounds stop when
+// no trial has an exit left to follow.
+//
+// The coordinator then buckets divergent trials by their restart
+// checkpoint — checkpoints are interned per plan, so pointer identity
+// keys (tree path, tightest checkpoint, tape segment) at once — sorts
+// each bucket's trials, and fragments big buckets into units no larger
+// than the unit lane budget (maxLanesFor).
 //
 // Phase B (replay): units are dealt round-robin to per-worker deques.
 // A worker pops from its own deque; an empty worker steals the front
@@ -35,17 +43,29 @@ import (
 // Determinism: every trial draws from its own derived stream positioned
 // exactly where the sequential engine would position it, and the final
 // histogram is a merge of integer counts, which is commutative — so
-// Counts are byte-identical to the legacy loop at any GOMAXPROCS and
-// any steal interleaving.
+// Counts are byte-identical to the legacy loop at any GOMAXPROCS, any
+// steal interleaving and any tree shape.
 //
 // Workers gate through the process-wide compute-token pool within each
 // phase and hold no token across the inter-phase barrier, so concurrent
 // Runs cannot deadlock on tokens.
 
-// divTrial records one divergent trial found in phase A.
+// divTrial records one divergent trial found by a walk: the path it
+// ended on and the path draw index of its divergent draw.
 type divTrial struct {
-	t  int
-	ck *checkpoint
+	t    int
+	pos  int
+	node *treeNode
+}
+
+// entry returns the tape entry the trial diverged at.
+func (d *divTrial) entry() *tapeEntry { return &d.node.tape[d.pos-d.node.start] }
+
+// walkJob is one trial to walk from the start of path node, its stream
+// skipped to node.start.
+type walkJob struct {
+	t    int
+	node *treeNode
 }
 
 // unitDeque is one worker's queue of replay units. A mutex (not a
@@ -95,6 +115,70 @@ func (d *unitDeque) stealHalf(buf []replayUnit) []replayUnit {
 	return buf
 }
 
+// walkPhase walks trials against the tape tree on up to `workers`
+// goroutines: trials 0..n-1 from the root when jobs is nil, else the n
+// jobs from their own paths. It returns the per-worker histograms of
+// the trials that finished dominant and every divergent trial.
+func (m *Machine) walkPhase(prog *program, plan *prefixPlan, n int, jobs []walkJob, r *rng.RNG, workers int, cancel *atomic.Bool) ([]*dist.Counts, []divTrial) {
+	if n < parallelThreshold {
+		workers = 1
+	}
+	partial := make([]*dist.Counts, workers)
+	divLists := make([][]divTrial, workers)
+	var cursor atomic.Int64
+	const chunk = 256
+	var wg sync.WaitGroup
+	walker := func(w int) {
+		defer wg.Done()
+		pool.Acquire()
+		defer pool.Release()
+		counts := dist.NewCounts(prog.numClbits)
+		trueBits := make([]int, prog.numClbits)
+		var divs []divTrial
+		for {
+			if cancel != nil && cancel.Load() {
+				break
+			}
+			start := int(cursor.Add(chunk)) - chunk
+			if start >= n {
+				break
+			}
+			end := min(start+chunk, n)
+			for k := start; k < end; k++ {
+				t, from := k, plan.root
+				if jobs != nil {
+					t, from = jobs[k].t, jobs[k].node
+				}
+				rt := r.DeriveN("trial", t)
+				rt.Skip(from.start)
+				node, _, divPos := walkTape(from, rt)
+				if divPos < 0 {
+					copy(trueBits, node.domBits)
+					counts.Observe(m.applyReadout(prog, trueBits, rt))
+				} else {
+					divs = append(divs, divTrial{t: t, pos: divPos, node: node})
+				}
+			}
+		}
+		partial[w] = counts
+		divLists[w] = divs
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go walker(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, d := range divLists {
+		total += len(d)
+	}
+	divs := make([]divTrial, 0, total)
+	for _, d := range divLists {
+		divs = append(divs, d...)
+	}
+	return partial, divs
+}
+
 // runBatched runs `trials` trials of prog through the batched replay
 // engine. Counts are byte-identical to the sequential engines.
 func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
@@ -104,62 +188,41 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	}
 
 	// Phase A: tape-tree walks, dominant trials completed inline.
-	partial := make([]*dist.Counts, workers)
-	divLists := make([][]divTrial, workers)
-	var cursor atomic.Int64
-	const chunk = 256
-	var wg sync.WaitGroup
-	phaseA := func(w int) {
-		defer wg.Done()
-		pool.Acquire()
-		defer pool.Release()
-		counts := dist.NewCounts(prog.numClbits)
-		trueBits := make([]int, prog.numClbits)
-		var tally engineTally
-		var divs []divTrial
-		for {
-			if cancel != nil && cancel.Load() {
-				break
-			}
-			start := int(cursor.Add(chunk)) - chunk
-			if start >= trials {
-				break
-			}
-			end := start + chunk
-			if end > trials {
-				end = trials
-			}
-			for t := start; t < end; t++ {
-				rt := r.DeriveN("trial", t)
-				node, divStep, _ := walkTape(plan, rt)
-				if divStep < 0 {
-					copy(trueBits, node.domBits)
-					counts.Observe(m.applyReadout(prog, trueBits, rt))
-					tally.full++
-				} else {
-					divs = append(divs, divTrial{t: t, ck: node.checkpointBefore(divStep)})
-					tally.div++
-				}
+	partial, divs := m.walkPhase(prog, plan, trials, nil, r, workers, cancel)
+
+	// Growth: grow exits where enough trials left the tree, and re-walk
+	// those trials from the new children. Only the trials a round
+	// re-walked can reach exits no earlier round has counted.
+	var jobs []walkJob
+	for fresh := 0; cancel == nil || !cancel.Load(); {
+		m.growExits(prog, plan, divs[fresh:])
+		jobs = jobs[:0]
+		keep := divs[:0]
+		for _, d := range divs {
+			if exit := d.node.exits[d.pos-d.node.start].Load(); exit != nil {
+				jobs = append(jobs, walkJob{t: d.t, node: exit})
+			} else {
+				keep = append(keep, d)
 			}
 		}
-		tally.flush()
-		partial[w] = counts
-		divLists[w] = divs
+		if len(jobs) == 0 {
+			break
+		}
+		more, moreDivs := m.walkPhase(prog, plan, len(jobs), jobs, r, workers, cancel)
+		partial = append(partial, more...)
+		fresh = len(keep)
+		divs = append(keep, moreDivs...)
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go phaseA(w)
-	}
-	wg.Wait()
+	engineStats.fullDominant.Add(int64(trials - len(divs)))
+	engineStats.divergent.Add(int64(len(divs)))
 
 	// Bucket by checkpoint and fragment into units of at most the lane
 	// budget, so no unit can run out of lanes however its groups split.
 	maxLanes := maxLanesFor(prog.nLocal)
 	buckets := make(map[*checkpoint][]int)
-	for _, divs := range divLists {
-		for _, d := range divs {
-			buckets[d.ck] = append(buckets[d.ck], d.t)
-		}
+	for _, d := range divs {
+		ck := d.node.checkpointBefore(int(d.entry().step))
+		buckets[ck] = append(buckets[ck], d.t)
 	}
 	var units []replayUnit
 	for ck, ids := range buckets {
@@ -195,6 +258,7 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	}
 	var outstanding atomic.Int64
 	outstanding.Store(int64(len(units)))
+	var wg sync.WaitGroup
 	phaseB := func(w int) {
 		defer wg.Done()
 		pool.Acquire()

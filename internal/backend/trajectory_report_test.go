@@ -62,7 +62,7 @@ func TestTrajectoryBenchReport(t *testing.T) {
 		Go:         runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "per-trial trajectory execution: batched divergent-suffix replay (DESIGN.md " +
-			"section 15) and the sequential tape-tree engine (section 10) vs the frozen " +
+			"section 15) and the sequential tape-tree engine (section 10), on a tape tree grown by a batched run on the same streams, vs the frozen " +
 			"legacy full-replay loop (Machine.SetTrajectoryEngine(EngineLegacy)); the three " +
 			"engines are timed in interleaved rounds so shared-machine load lands on all of " +
 			"them; speedup is batched vs legacy, speedup_sequential the old per-trial " +
@@ -93,9 +93,13 @@ func TestTrajectoryBenchReport(t *testing.T) {
 		trueBits := make([]int, prog.numClbits)
 		root := rng.New(11)
 		var tally engineTally
+		// The sequential engine never grows the tree: grow it with one
+		// batched run on the timed streams first, so every engine walks
+		// the tree the batched rounds use.
+		m.runBatched(prog, plan, tc.trials, root, nil)
 
 		// Warm both per-trial paths, pin per-trial byte-identity, and
-		// tally the tree walk: which leaf each trial lands on, or
+		// tally the tree walk: which path each trial ends on, or
 		// divergence.
 		leafHits := make(map[int]int)
 		divergent := 0
@@ -161,14 +165,16 @@ func TestTrajectoryBenchReport(t *testing.T) {
 			identical = false
 			t.Errorf("q%d: batched Counts differ from legacy Counts", tc.nq)
 		}
+		// The tree as the timed runs left it.
+		paths := plan.pathList()
 		entries, ckpts := 0, 0
-		for _, n := range plan.nodes {
+		for _, n := range paths {
 			entries += len(n.tape)
 			ckpts += len(n.ckpts)
 		}
-		rates := make([]float64, 0, len(plan.leaves))
-		for _, leaf := range plan.leaves {
-			rates = append(rates, float64(leafHits[leaf.id])/accounting)
+		rates := make([]float64, 0, len(paths))
+		for _, n := range paths {
+			rates = append(rates, float64(leafHits[n.id])/accounting)
 		}
 		// The counter deltas cover all timing rounds; report per-run
 		// occupancy (every round does identical work).
@@ -187,7 +193,7 @@ func TestTrajectoryBenchReport(t *testing.T) {
 			Speedup:        batchedS / legacyS,
 			SpeedupSeq:     prefixS / legacyS,
 			TapeEntries:    entries,
-			TreeLeaves:     len(plan.leaves),
+			TreeLeaves:     len(paths),
 			TreeDepth:      plan.maxDepth,
 			LeafHitRates:   rates,
 			DivergentRate:  float64(divergent) / accounting,

@@ -53,6 +53,7 @@ func BackendCacheStats() (prog backend.CacheStats, run memo.Stats) {
 		prog.Misses += ps.Misses
 		prog.Evictions += ps.Evictions
 		prog.Entries += ps.Entries
+		prog.PlanBytes += ps.PlanBytes
 		rs := r.Machine.RunCacheStats()
 		run.Hits += rs.Hits
 		run.Misses += rs.Misses

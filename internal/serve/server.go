@@ -190,6 +190,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("recompile_candidates_reused_total", m.Recompile.Reused)
 	put("recompile_candidates_rescored_total", m.Recompile.Rescored)
 	put("recompile_candidates_rerouted_total", m.Recompile.Rerouted)
+	put("engine_plans_built_total", uint64(m.Engine.PlansBuilt))
+	put("engine_plan_fallbacks_total", uint64(m.Engine.PlanFallbacks))
+	put("engine_plan_paths_total", uint64(m.Engine.PlanPaths))
+	put("backend_plan_bytes", uint64(m.Programs.PlanBytes))
 	put("engine_stab_programs_total", uint64(m.Engine.StabPrograms))
 	put("engine_stab_fallbacks_total", uint64(m.Engine.StabFallbacks))
 	put("engine_stab_prefix_steps_total", uint64(m.Engine.StabPrefixSteps))

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -137,6 +138,19 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 	if resp, body := post(t, ts.URL+"/v1/jobs", jobBody); resp.StatusCode != http.StatusOK {
 		t.Fatalf("job: %d %s", resp.StatusCode, body)
 	}
+	// The job built prefix plans on this window's machine: the plan
+	// counters are process-wide, the plan-bytes gauge is the machine's.
+	metrics := getMetrics(t, ts.URL)
+	for _, pat := range []string{
+		`(?m)^edmd_engine_plans_built_total [1-9][0-9]*$`,
+		`(?m)^edmd_engine_plan_fallbacks_total 0$`,
+		`(?m)^edmd_engine_plan_paths_total [1-9][0-9]*$`,
+		`(?m)^edmd_backend_plan_bytes [1-9][0-9]*$`,
+	} {
+		if !regexp.MustCompile(pat).MatchString(metrics) {
+			t.Errorf("metrics missing %s:\n%s", pat, metrics)
+		}
+	}
 	resp, body := post(t, ts.URL+"/v1/advance", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("advance: %d %s", resp.StatusCode, body)
@@ -146,18 +160,14 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 		t.Fatalf("advance body %q", body)
 	}
 
-	mresp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mb, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	metrics := string(mb)
+	// The advance swapped in a fresh machine: no plans, no plan bytes.
+	metrics = getMetrics(t, ts.URL)
 	for _, want := range []string{
 		"edmd_window 1",
 		"edmd_admission_admitted_total 1",
 		"edmd_job_cache_misses_total 1",
 		"edmd_compile_pool_misses_total 1",
+		"edmd_backend_plan_bytes 0",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
@@ -177,6 +187,18 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 	if m.Window != 1 || len(m.TierShard) == 0 {
 		t.Fatalf("cachestats = %+v", m)
 	}
+}
+
+// getMetrics fetches the /metrics exposition text.
+func getMetrics(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return string(b)
 }
 
 func TestServerQueueFull(t *testing.T) {

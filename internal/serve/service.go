@@ -268,7 +268,8 @@ func (s *Service) execute(spec *JobSpec, circ *circuit.Circuit, fp uint64) *jobO
 // Metrics is the live counter snapshot behind /metrics and /cachestats.
 // Engine is the process-wide trajectory-engine snapshot (stabilizer
 // routing, prefix plans); in the single-service edmd process it reflects
-// this service's machines.
+// this service's machines. Programs is the current window's machine:
+// its compiled-program cache and the live bytes of its prefix plans.
 type Metrics struct {
 	Window    int                   `json:"window"`
 	Device    string                `json:"device"`
@@ -278,6 +279,7 @@ type Metrics struct {
 	Pools     memo.Stats            `json:"compile_pools"`
 	Recompile mapper.RecompileStats `json:"recompile"`
 	Runs      memo.Stats            `json:"runs"`
+	Programs  backend.CacheStats    `json:"programs"`
 	Engine    backend.EngineStats   `json:"engine"`
 }
 
@@ -288,6 +290,7 @@ func (s *Service) Snapshot(withShards bool) Metrics {
 	pools := s.track.PoolStats()
 	rec := s.track.Stats()
 	runs := s.mach.RunCacheStats()
+	progs := s.mach.CacheStats()
 	s.mu.RUnlock()
 	m := Metrics{
 		Window:    window,
@@ -297,6 +300,7 @@ func (s *Service) Snapshot(withShards bool) Metrics {
 		Pools:     pools,
 		Recompile: rec,
 		Runs:      runs,
+		Programs:  progs,
 		Engine:    backend.EngineStatsSnapshot(),
 	}
 	if withShards {

@@ -139,9 +139,10 @@ echo "== batched replay identity (DESIGN.md §15) =="
 # tape-tree replay (and, transitively, the legacy loop) byte for byte:
 # GOMAXPROCS=1 pins the serial scheduler, the full-width pass runs the
 # two-phase walk/replay pipeline with work stealing under the race
-# detector.
-GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor' ./internal/backend
-go test -race -count=1 -run 'BatchedReplay|MaxLanesFor' ./internal/backend
+# detector. PlanGrowth runs one cached program concurrently at mixed
+# trial counts, so runs grow the shared tape tree while others walk it.
+GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|PlanGrowth' ./internal/backend
+go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|PlanGrowth' ./internal/backend
 
 echo "== statevec batch kernels: purego path =="
 # The batch kernels' scalar fallbacks must pin the same frozen oracle
