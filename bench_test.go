@@ -17,7 +17,6 @@ import (
 	"os"
 	"testing"
 
-	"edm/internal/backend"
 	"edm/internal/experiment"
 )
 
@@ -27,10 +26,9 @@ import (
 // iteration after the first would measure cache hits instead of the
 // compile and simulation work the numbers are frozen against. The
 // cached path is benchmarked end-to-end by scripts/bench_campaign.sh.
-// EngineStatevector pins the trajectory engine the same way: frozen
-// baselines must keep measuring statevector work even if a future noise
-// profile makes a schedule fully Clifford and eligible for the
-// stabilizer fast path.
+// The Melbourne profile's finite T1/T2 add damping steps to every
+// schedule, so no benchmark program is fully Clifford and all of them
+// run on the statevector engine.
 func benchSetup() experiment.Setup {
 	s := experiment.Default()
 	if os.Getenv("EDM_BENCH_FULL") == "" {
@@ -38,7 +36,6 @@ func benchSetup() experiment.Setup {
 		s.Trials = 4096
 	}
 	s.NoCache = true
-	s.Engine = backend.EngineStatevector
 	return s
 }
 

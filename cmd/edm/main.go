@@ -206,8 +206,8 @@ func printCacheStats(out *os.File) {
 		"compiler", comp.Hits, comp.Misses, comp.Waits, comp.Evictions, comp.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"topk", topk.Hits, topk.Misses, topk.Waits, topk.Evictions, topk.Entries)
-	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d evictions %-4d entries %-4d plan-bytes %d\n",
-		"backend/prog", prog.Hits, prog.Misses, prog.Evictions, prog.Entries, prog.PlanBytes)
+	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %-4d plan-bytes %d\n",
+		"backend/prog", prog.Hits, prog.Misses, prog.Waits, prog.Evictions, prog.Entries, prog.PlanBytes)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"backend/run", run.Hits, run.Misses, run.Waits, run.Evictions, run.Entries)
 	printRecompileStats(out)

@@ -7,9 +7,11 @@
 //
 // Two execution paths share one compiled schedule:
 //
-//   - Run: Monte-Carlo trajectories through the statevector engine, one
-//     stochastic sample per trial. This is the path used by all
-//     experiments; its sampling noise is the paper's shot noise.
+//   - Run: Monte-Carlo trajectories, one stochastic sample per trial,
+//     through the one trial engine (runProgram): the stabilizer tableau
+//     for fully-Clifford schedules, the batched tape-tree statevector
+//     engine otherwise. This is the path used by all experiments; its
+//     sampling noise is the paper's shot noise.
 //   - ExactDist: exact channel evolution through the density-matrix
 //     engine, used by tests to validate the trajectory path and by
 //     analyses that need noise-free-of-shot-noise distributions.
@@ -42,55 +44,13 @@ import (
 // experiment loops that re-run the same executable across rounds and
 // policies skip compilation and fusion.
 type Machine struct {
-	cal   *device.Calibration
-	progs progCache
+	cal *device.Calibration
+	// progs memoizes compile+fuse per circuit (cache.go).
+	progs *memo.Cache[*progEntry]
 	// runs memoizes whole trial runs by (circuit, trials, RNG state);
 	// nil unless EnableRunCache was called. See runcache.go.
 	runs *memo.Cache[*runEntry]
-	// engine selects the Monte-Carlo execution strategy; the zero value
-	// is the prefix-sharing engine (see prefix.go).
-	engine TrajectoryEngine
-	// planBytes is the checkpoint memory of the cached programs' prefix
-	// plans (CacheStats.PlanBytes): charged as plans build and grow,
-	// released when their program leaves the cache.
-	planBytes atomic.Int64
 }
-
-// TrajectoryEngine selects how Run turns a compiled program into trial
-// outcomes.
-type TrajectoryEngine uint8
-
-const (
-	// EnginePrefixSharing (the default) executes the dominant stochastic
-	// path once per program and replays trials against its recorded
-	// branch thresholds, simulating only each trial's post-divergence
-	// suffix. Output histograms are byte-identical to EngineLegacy at
-	// any GOMAXPROCS; see prefix.go for the soundness argument.
-	EnginePrefixSharing TrajectoryEngine = iota
-	// EngineLegacy runs every trial's full trajectory from |0...0>. It
-	// is kept as the frozen baseline for benchmarks and as a
-	// cross-check in the byte-identity tests. It never uses the
-	// stabilizer fast path.
-	EngineLegacy
-	// EngineStabilizer is the strict tableau engine: fully-Clifford
-	// schedules run on the stabilizer tableau (stab.go), anything else
-	// is an error. Use it to assert that a campaign actually gets the
-	// fast path instead of silently paying for statevectors.
-	EngineStabilizer
-	// EngineStatevector pins the tape-tree statevector engine even for
-	// fully-Clifford programs that the default engine would route to
-	// the tableau. Benchmarks use it to keep frozen baselines measuring
-	// statevector work.
-	EngineStatevector
-)
-
-// SetTrajectoryEngine selects the trial execution strategy. Like
-// EnableRunCache it must be called before the machine is shared across
-// goroutines; it is not safe to race with Run.
-func (m *Machine) SetTrajectoryEngine(e TrajectoryEngine) { m.engine = e }
-
-// Engine returns the machine's trajectory engine.
-func (m *Machine) Engine() TrajectoryEngine { return m.engine }
 
 // New returns a machine with the given runtime calibration. The
 // calibration passed here may differ from the one the compiler used — that
@@ -99,7 +59,7 @@ func New(cal *device.Calibration) *Machine {
 	if err := cal.Validate(); err != nil {
 		panic(fmt.Sprintf("backend: invalid calibration: %v", err))
 	}
-	return &Machine{cal: cal}
+	return &Machine{cal: cal, progs: memo.New[*progEntry](programCacheCap)}
 }
 
 // Calibration returns the machine's runtime calibration.
@@ -155,16 +115,10 @@ type program struct {
 
 	// prefix is the tape tree of the prefix-sharing engine (prefix.go):
 	// its spine is built at most once per compiled program on first use,
-	// and runs grow exit children under the plan's own lock.
+	// and runs grow exit children under the plan's own lock. It is
+	// published atomically so CacheStats can read it without the once.
 	prefixOnce sync.Once
-	prefix     *prefixPlan
-	// acct guards the plan bytes this program has charged to its
-	// machine's gauge, and whether it has left the program cache.
-	acct struct {
-		sync.Mutex
-		charged int64
-		evicted bool
-	}
+	prefix     atomic.Pointer[prefixPlan]
 
 	// stab is the Clifford analysis of the stabilizer engine (stab.go),
 	// built at most once per compiled program on first use.
@@ -398,88 +352,76 @@ func (m *Machine) runFresh(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.
 	return m.runProgram(prog, sp, trials, r, nil), nil
 }
 
-// runProgram executes a compiled program for the given number of trials.
-// A non-nil cancel flag makes the trial loops stop early once it flips
-// true (the RunCtx path); the partial histogram is then discarded by the
-// caller, so the flag never affects a result that is actually returned.
+// runProgram executes a compiled program for the given number of trials:
+// on the tableau when sp is non-nil, otherwise through the batched
+// tape-tree engine (sched.go), or the legacy loop for a program the tape
+// cannot model. A non-nil cancel flag makes the trial loops stop early
+// once it flips true (the RunCtx path); the partial histogram is then
+// discarded by the caller, so the flag never affects a result that is
+// actually returned.
 func (m *Machine) runProgram(prog *program, sp *stabPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
-	if sp == nil && batchedReplay {
-		// Prefix-planned programs run the batched replay engine: walk
-		// every trial first, then replay divergent suffixes in shared
-		// batches (sched.go). Legacy machines (plan == nil) and
-		// stabilizer programs keep the striped loops below.
-		if plan := m.planFor(prog); plan != nil {
+	if sp == nil {
+		if plan := prog.plan(); plan != nil {
 			return m.runBatched(prog, plan, trials, r, cancel)
 		}
 	}
-	stripe := func(start, stride int) *dist.Counts {
-		if sp != nil {
-			return m.runStabStripe(prog, sp, start, stride, trials, r, cancel)
-		}
-		// planFor is once-guarded, so calling it per stripe builds at
-		// most one plan.
-		return m.runStripe(prog, m.planFor(prog), start, stride, trials, r, cancel)
+	return m.runStriped(prog, sp, trials, r, cancel)
+}
+
+// trialWorkers returns how many workers a run of the given number of
+// trials fans out over: GOMAXPROCS, or 1 below parallelThreshold.
+func trialWorkers(trials int) int {
+	if trials < parallelThreshold {
+		return 1
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if trials < parallelThreshold || workers < 2 {
-		pool.Acquire()
-		defer pool.Release()
-		return stripe(0, 1)
-	}
-	// Static striping: worker w owns trials w, w+workers, w+2*workers, ...
-	// Each worker fills a private histogram; merging integer counts is
-	// commutative, so the result is bit-identical to the serial path.
-	// Workers gate through the process-wide compute-token pool so trial
-	// striping composes with member- and experiment-level fan-out.
+	return runtime.GOMAXPROCS(0)
+}
+
+// runStriped fans trials out in static stripes — worker w owns trials
+// w, w+W, w+2W, ... — on the tableau when sp is non-nil, otherwise
+// through the legacy trajectory loop. Each stripe fills a private
+// histogram; merging integer counts is commutative, so the result is
+// bit-identical to the serial path.
+func (m *Machine) runStriped(prog *program, sp *stabPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
+	workers := trialWorkers(trials)
 	partial := make([]*dist.Counts, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool.Acquire()
-			defer pool.Release()
-			partial[w] = stripe(w, workers)
-		}(w)
-	}
-	wg.Wait()
-	counts := dist.NewCounts(prog.numClbits)
+	pool.Each(workers, func(w int) {
+		if sp != nil {
+			partial[w] = m.runStabStripe(prog, sp, w, workers, trials, r, cancel)
+		} else {
+			partial[w] = m.runStripe(prog, w, workers, trials, r, cancel)
+		}
+	})
+	return mergeCounts(prog.numClbits, partial)
+}
+
+// mergeCounts sums per-worker histograms.
+func mergeCounts(numClbits int, partial []*dist.Counts) *dist.Counts {
+	counts := dist.NewCounts(numClbits)
 	for _, p := range partial {
 		counts.Merge(p)
 	}
 	return counts
 }
 
-// runStripe executes trials start, start+stride, ... reusing one
-// statevector and one classical-bit scratch across all of them. The
-// scratch statevector comes from the process-wide buffer pool, so
-// stripes across runs and workers recycle a handful of buffers. With a
-// non-nil plan, trials go through the prefix-sharing engine; the plan's
-// checkpoints are shared read-only across all stripes. A non-nil cancel
-// flag is polled once per trial — a few nanoseconds against a trial's
-// microseconds — and abandons the stripe when set.
-func (m *Machine) runStripe(prog *program, plan *prefixPlan, start, stride, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
+// runStripe executes trials start, start+stride, ... through the legacy
+// trajectory loop, reusing one statevector and one classical-bit
+// scratch across all of them. The scratch statevector comes from the
+// process-wide buffer pool, so stripes across runs and workers recycle
+// a handful of buffers. A non-nil cancel flag is polled once per trial
+// — a few nanoseconds against a trial's microseconds — and abandons the
+// stripe when set.
+func (m *Machine) runStripe(prog *program, start, stride, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
 	counts := dist.NewCounts(prog.numClbits)
 	scratch := statevec.GetState(prog.nLocal)
 	defer statevec.PutState(scratch)
 	trueBits := make([]int, prog.numClbits)
-	if plan == nil {
-		for t := start; t < trials; t += stride {
-			if cancel != nil && cancel.Load() {
-				break
-			}
-			counts.Observe(m.runTrajectory(prog, scratch, trueBits, r.DeriveN("trial", t)))
-		}
-		return counts
-	}
-	var tally engineTally
 	for t := start; t < trials; t += stride {
 		if cancel != nil && cancel.Load() {
 			break
 		}
-		counts.Observe(m.runTrialShared(prog, plan, scratch, trueBits, r, t, &tally))
+		counts.Observe(m.runTrajectory(prog, scratch, trueBits, r.DeriveN("trial", t)))
 	}
-	tally.flush()
 	return counts
 }
 
@@ -492,24 +434,19 @@ func (m *Machine) RunDist(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.D
 	return c.Dist(), nil
 }
 
-// runTrajectory executes one trial. s is a statevector of prog.nLocal
-// qubits and trueBits scratch of size numClbits; both are reset here so
-// callers reuse one allocation across trials.
+// runTrajectory executes one trial from |0...0> through the legacy
+// trajectory loop: every step applied live, every stochastic branch
+// drawn from r, then readout. s is a statevector of prog.nLocal qubits
+// and trueBits scratch of size numClbits; both are reset here so
+// callers reuse one allocation across trials. It is the fallback for
+// programs without a prefix plan and the oracle the tape-tree engine is
+// byte-identical to.
 func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int, r *rng.RNG) bitstr.BitString {
 	s.Reset()
 	for i := range trueBits {
 		trueBits[i] = 0
 	}
-	return m.resumeTrajectory(prog, s, trueBits, r, 0)
-}
-
-// resumeTrajectory runs the trajectory loop from schedule step `from` to
-// the end, then applies readout. Callers position s, trueBits, and r at
-// step `from` first: runTrajectory starts from the reset state with a
-// fresh trial stream, the prefix-sharing engine from a restored
-// checkpoint with the stream skipped to the checkpoint's draw index.
-func (m *Machine) resumeTrajectory(prog *program, s *statevec.State, trueBits []int, r *rng.RNG, from int) bitstr.BitString {
-	for i := from; i < len(prog.steps); i++ {
+	for i := range prog.steps {
 		st := &prog.steps[i]
 		switch st.kind {
 		case stepU1, stepU2:
@@ -541,9 +478,10 @@ func (m *Machine) resumeTrajectory(prog *program, s *statevec.State, trueBits []
 }
 
 // applyUnitaryStep dispatches a deterministic unitary step to its fused
-// kernel class. It is shared by the legacy trial loop, the prefix
-// engine's replay path, and the dominant-path builder, so all three
-// evolve states through identical kernels.
+// kernel class. It is shared by the legacy trial loop and the tape-tree
+// builders (spine and exit replay), so they evolve states through
+// identical kernels; the batched replay applies the same classes through
+// applyUnitaryStepBatch.
 func applyUnitaryStep(s *statevec.State, st *step) {
 	switch st.kind {
 	case stepU1:

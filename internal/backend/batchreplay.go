@@ -10,13 +10,13 @@ import (
 	"edm/internal/statevec"
 )
 
-// Batched divergent-suffix replay. The sequential prefix engine replays
-// every divergent trial's suffix alone: restore the checkpoint into a
-// scratch statevector, walk the remaining schedule, draw that trial's
-// stochastic branches. Divergences cluster — most divergent trials fall
-// off the dominant path at the same high-probability noise sites — so
-// the per-trial replay re-applies the same deterministic gate runs to
-// the same intermediate states over and over.
+// Batched divergent-suffix replay. Replaying every divergent trial's
+// suffix alone — restore the checkpoint into a scratch statevector,
+// walk the remaining schedule, draw that trial's stochastic branches —
+// would re-apply the same deterministic gate runs to the same
+// intermediate states over and over, because divergences cluster: most
+// divergent trials fall off the dominant path at the same
+// high-probability noise sites.
 //
 // The batched engine replays a whole bucket of trials breadth-first
 // instead. A replayUnit is a set of trials that diverged under the same
@@ -29,13 +29,8 @@ import (
 // from the still-unmutated lane, and each sub-group continues as an
 // independent group. Every amplitude still sees the exact FP op
 // sequence of a lane-by-lane replay and every trial draws exactly the
-// uniforms the sequential path draws, so Counts stay byte-identical to
+// uniforms the legacy loop draws, so Counts stay byte-identical to
 // the legacy loop (pinned by the identity tests).
-
-// batchedReplay gates the batched replay scheduler inside runProgram.
-// It exists for the batched-vs-sequential identity tests and as an
-// escape hatch; the batched path is the default.
-var batchedReplay = true
 
 // maxBatchBytes bounds one unit's batch storage (B·16·2^n bytes for B
 // lanes of n qubits, DESIGN.md §15).
@@ -98,8 +93,8 @@ type unitState struct {
 // stochOp adapts one stochastic sub-step to the partition engine. prep
 // computes the state-dependent values once per group from its lane
 // (branch probabilities, P(1)); draw consumes exactly the uniforms the
-// sequential path consumes and returns the branch id; apply mutates a
-// lane (and the group's bits) the way the sequential path would for
+// legacy loop consumes and returns the branch id; apply mutates a
+// lane (and the group's bits) the way the legacy loop would for
 // that branch.
 type stochOp struct {
 	prep  func(lane *statevec.State)
@@ -371,7 +366,12 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 	for gi := range us.groups {
 		g := &us.groups[gi]
 		for i := g.start; i < g.end; i++ {
-			counts.Observe(m.applyReadout(prog, g.bits, &us.work[i].r))
+			lt := &us.work[i]
+			out := m.applyReadout(prog, g.bits, &lt.r)
+			counts.Observe(out)
+			if testHookPrefix != nil {
+				testHookPrefix(lt.id, -1, out, &lt.r)
+			}
 		}
 	}
 	tally.units++

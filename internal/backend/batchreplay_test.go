@@ -1,49 +1,17 @@
 package backend
 
 import (
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
+	"edm/internal/bitstr"
 	"edm/internal/circuit"
 	"edm/internal/device"
 	"edm/internal/dist"
 	"edm/internal/rng"
 )
-
-// TestBatchedReplayByteIdentityWorkloads is the acceptance gate of the
-// batched replay engine against its sequential ancestor: for every
-// workload, the Counts produced by the batched scheduler (walk phase +
-// bucketed suffix replay + work stealing) must be byte-identical to the
-// sequential prefix-sharing stripes, on both the serial path
-// (trials < parallelThreshold) and the parallel path. Together with
-// TestPrefixEngineByteIdentityWorkloads (legacy vs default engine, and
-// the default engine is the batched path) this pins
-// legacy == sequential prefix == batched for every workload. ci.sh
-// re-runs it under -race at GOMAXPROCS=1 and at full width.
-func TestBatchedReplayByteIdentityWorkloads(t *testing.T) {
-	defer func(prev bool) { batchedReplay = prev }(batchedReplay)
-	exes := physicalWorkloads(t)
-	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
-	for name, exe := range exes {
-		for _, trials := range []int{100, 1000} { // serial and parallel
-			batchedReplay = false
-			seq := New(cal)
-			want, err := seq.Run(exe.Circuit, trials, rng.New(42))
-			if err != nil {
-				t.Fatalf("%s sequential run: %v", name, err)
-			}
-			batchedReplay = true
-			bat := New(cal)
-			got, err := bat.Run(exe.Circuit, trials, rng.New(42))
-			if err != nil {
-				t.Fatalf("%s batched run: %v", name, err)
-			}
-			if !countsEqual(want, got) {
-				t.Errorf("%s trials=%d: batched counts differ from sequential replay", name, trials)
-			}
-		}
-	}
-}
 
 // TestBatchedReplayStats pins the occupancy accounting: every divergent
 // trial is replayed through exactly one retiring unit (deferred trials
@@ -51,8 +19,6 @@ func TestBatchedReplayByteIdentityWorkloads(t *testing.T) {
 // buckets are formed whenever divergences exist, and lane usage is at
 // least one per unit.
 func TestBatchedReplayStats(t *testing.T) {
-	defer func(prev bool) { batchedReplay = prev }(batchedReplay)
-	batchedReplay = true
 	ResetEngineStats()
 	m := noisyMachine(7)
 	exe := benchCircuit(10)
@@ -94,7 +60,6 @@ func TestPlanGrowthByteIdentity(t *testing.T) {
 	exes := physicalWorkloads(t)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	legacy := New(cal)
-	legacy.SetTrajectoryEngine(EngineLegacy)
 	for _, tc := range []struct {
 		name string
 		c    *circuit.Circuit
@@ -108,7 +73,7 @@ func TestPlanGrowthByteIdentity(t *testing.T) {
 		}{{64, 1}, {1024, 2}, {16384, 3}, {64, 4}, {1024, 5}}
 		want := make([]*dist.Counts, len(runs))
 		for i, run := range runs {
-			c, err := legacy.Run(tc.c, run.trials, rng.New(run.seed))
+			c, err := legacy.runLegacy(tc.c, run.trials, rng.New(run.seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +110,7 @@ func TestPlanGrowthByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := len(shared.planFor(prog).pathList()); n < 2 {
+		if n := len(prog.plan().pathList()); n < 2 {
 			t.Fatalf("%s: concurrent runs grew no exit (%d paths); the test needs traffic", tc.name, n)
 		}
 
@@ -167,8 +132,9 @@ func TestPlanGrowthByteIdentity(t *testing.T) {
 }
 
 // TestPlanBytesGauge pins the machine's PlanBytes gauge: it equals the
-// cached plans' checkpoint bytes as they build and grow, and falls to
-// zero once their program is evicted from the program cache.
+// cached plans' checkpoint bytes as they build and grow, falls to zero
+// once their program is evicted from the program cache, and stays there
+// while a run still holding the evicted program grows its plan.
 func TestPlanBytesGauge(t *testing.T) {
 	m := noisyMachine(7)
 	exe := benchCircuit(8)
@@ -179,19 +145,19 @@ func TestPlanBytesGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := m.planFor(prog)
+	plan := prog.plan()
 	spine := m.CacheStats().PlanBytes
-	if spine <= 0 || spine != plan.stateBytes {
-		t.Fatalf("PlanBytes after the spine build = %d, want the plan's %d", spine, plan.stateBytes)
+	if spine <= 0 || spine != plan.stateBytes.Load() {
+		t.Fatalf("PlanBytes after the spine build = %d, want the plan's %d", spine, plan.stateBytes.Load())
 	}
 	if _, err := m.Run(exe, 2048, rng.New(2)); err != nil {
 		t.Fatal(err)
 	}
-	if grown := m.CacheStats().PlanBytes; grown <= spine || grown != plan.stateBytes {
-		t.Fatalf("PlanBytes after growth = %d, want the plan's %d (> spine %d)", grown, plan.stateBytes, spine)
+	if grown := m.CacheStats().PlanBytes; grown <= spine || grown != plan.stateBytes.Load() {
+		t.Fatalf("PlanBytes after growth = %d, want the plan's %d (> spine %d)", grown, plan.stateBytes.Load(), spine)
 	}
 	// Push the program out of the cache with distinct compiled circuits.
-	for i := 0; i <= progCacheLimit; i++ {
+	for i := 0; i < programCacheCap; i++ {
 		c := circuit.New(14, 1)
 		c.RZ(0, float64(i+1)*1e-3)
 		c.Measure(0, 0)
@@ -202,11 +168,15 @@ func TestPlanBytesGauge(t *testing.T) {
 	if got := m.CacheStats(); got.Evictions == 0 || got.PlanBytes != 0 {
 		t.Fatalf("after eviction: %d evictions, PlanBytes %d, want > 0 and 0", got.Evictions, got.PlanBytes)
 	}
-	// A run still holding the evicted program may grow it; the gauge
-	// must not count that.
-	m.chargePlan(prog, 1<<20)
+	// A run still holding the evicted program may grow its plan; the
+	// gauge must not count that.
+	before := plan.stateBytes.Load()
+	m.runBatched(prog, plan, 16384, rng.New(3), nil)
+	if plan.stateBytes.Load() <= before {
+		t.Fatalf("the evicted plan did not grow (%d bytes); the test needs growth", before)
+	}
 	if got := m.CacheStats().PlanBytes; got != 0 {
-		t.Fatalf("evicted program charged the gauge: %d", got)
+		t.Fatalf("evicted program's growth reached the gauge: %d", got)
 	}
 }
 
@@ -222,5 +192,54 @@ func TestMaxLanesFor(t *testing.T) {
 	}
 	if got := maxLanesFor(24); got != 4 {
 		t.Errorf("maxLanesFor(24) = %d, want 4 (memory-bound clamp)", got)
+	}
+}
+
+// TestRunPanicReachesCaller: a panic on one trial of a parallel Run —
+// a trial that finishes on its walk, or one replayed in phase B —
+// reaches the caller of Run instead of crashing the process from a
+// worker goroutine, and the other workers stop rather than wait for the
+// panicked worker's units.
+func TestRunPanicReachesCaller(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	defer func() { testHookPrefix = nil }()
+	exe := benchCircuit(10)
+	const trials = 2000
+
+	walked, replayed := -1, -1
+	var mu sync.Mutex
+	testHookPrefix = func(trial, node int, _ bitstr.BitString, _ *rng.RNG) {
+		mu.Lock()
+		defer mu.Unlock()
+		if node >= 0 && (walked < 0 || trial < walked) {
+			walked = trial
+		}
+		if node < 0 && (replayed < 0 || trial < replayed) {
+			replayed = trial
+		}
+	}
+	if _, err := noisyMachine(7).Run(exe, trials, rng.New(5)); err != nil {
+		t.Fatal(err)
+	}
+	if walked < 0 || replayed < 0 {
+		t.Fatalf("run lacks a walked (%d) or a replayed (%d) trial", walked, replayed)
+	}
+
+	for _, bad := range []int{walked, replayed} {
+		want := fmt.Sprintf("trial %d", bad)
+		testHookPrefix = func(trial, _ int, _ bitstr.BitString, _ *rng.RNG) {
+			if trial == bad {
+				panic(want)
+			}
+		}
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			_, _ = noisyMachine(7).Run(exe, trials, rng.New(5))
+			return nil
+		}()
+		if got != want {
+			t.Fatalf("Run recovered %v, want %q", got, want)
+		}
 	}
 }

@@ -72,12 +72,14 @@ func BenchmarkRunTrajectory(b *testing.B) {
 }
 
 // BenchmarkTrajectoryEngine measures per-trial execution of the legacy
-// full-replay loop against the prefix-sharing engine on the same
-// compiled programs. legacy/q14 vs prefix/q14 is the BENCH_trajectory.json
-// headline pair. The sequential engine never grows the tree, so a
-// batched run on the benchmark's streams grows it first; the prefix
-// sub-benchmarks then report the threshold-tape length, the grown path
-// count and the checkpoint memory overhead.
+// full-replay loop against the batched tape-tree engine on the same
+// compiled programs. legacy/q14 vs batched/q14 is the
+// BENCH_trajectory.json headline pair. A batched run on the benchmark's
+// streams grows the tree first, so the timed run walks a grown tree; the
+// batched sub-benchmarks then report the threshold-tape length, the
+// grown path count and the checkpoint memory overhead. The batched
+// engine runs b.N trials as one Run-sized call, so its throughput is
+// measured at the process's GOMAXPROCS.
 func BenchmarkTrajectoryEngine(b *testing.B) {
 	for _, nq := range []int{6, 10, 14} {
 		m := noisyMachine(7)
@@ -97,19 +99,16 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 		})
-		b.Run(fmt.Sprintf("prefix/q%d", nq), func(b *testing.B) {
-			plan := m.planFor(prog)
+		b.Run(fmt.Sprintf("batched/q%d", nq), func(b *testing.B) {
+			plan := prog.plan()
 			if plan == nil {
 				b.Fatal("no prefix plan")
 			}
 			r := rng.New(11)
 			m.runBatched(prog, plan, 2048, r, nil)
-			var tally engineTally
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.runTrialShared(prog, plan, scratch, trueBits, r, i, &tally)
-			}
+			m.runBatched(prog, plan, b.N, r, nil)
 			b.StopTimer()
 			paths := plan.pathList()
 			entries := 0
@@ -119,19 +118,15 @@ func BenchmarkTrajectoryEngine(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "trials/s")
 			b.ReportMetric(float64(entries), "tape-entries")
 			b.ReportMetric(float64(len(paths)), "paths")
-			b.ReportMetric(float64(plan.stateBytes)/1024, "ckpt-KiB")
+			b.ReportMetric(float64(plan.stateBytes.Load())/1024, "ckpt-KiB")
 		})
 	}
 }
 
-// BenchmarkRunParallel measures the striped multi-worker Run path
-// (trial count above parallelThreshold) end to end, including compile.
-// The engine is pinned so the frozen baseline keeps measuring
-// statevector work regardless of how the auto engine routes Clifford
-// schedules.
+// BenchmarkRunParallel measures the multi-worker Run path (trial count
+// above parallelThreshold) end to end, including compile.
 func BenchmarkRunParallel(b *testing.B) {
 	m := noisyMachine(7)
-	m.SetTrajectoryEngine(EngineStatevector)
 	exe := benchCircuit(10)
 	const trials = 2048
 	b.ReportAllocs()

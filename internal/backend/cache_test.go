@@ -69,7 +69,7 @@ func TestProgramCacheDeterminism(t *testing.T) {
 func TestProgramCacheEviction(t *testing.T) {
 	m := noisyMachine(7)
 	const extra = 5
-	for i := 0; i < progCacheLimit+extra; i++ {
+	for i := 0; i < programCacheCap+extra; i++ {
 		c := circuit.New(2, 2)
 		c.H(0).RZ(0, float64(i)*0.01).CX(0, 1).MeasureAll()
 		if _, err := m.Run(c, 10, rng.New(uint64(i))); err != nil {
@@ -77,14 +77,14 @@ func TestProgramCacheEviction(t *testing.T) {
 		}
 	}
 	st := m.CacheStats()
-	if st.Entries > progCacheLimit {
+	if st.Entries > programCacheCap {
 		t.Fatalf("cache grew past its bound: %+v", st)
 	}
 	if st.Evictions != extra {
 		t.Fatalf("evictions = %d, want %d (%+v)", st.Evictions, extra, st)
 	}
-	if st.Misses != progCacheLimit+extra {
-		t.Fatalf("misses = %d, want %d", st.Misses, progCacheLimit+extra)
+	if st.Misses != programCacheCap+extra {
+		t.Fatalf("misses = %d, want %d", st.Misses, programCacheCap+extra)
 	}
 }
 
@@ -121,5 +121,28 @@ func TestProgramCacheConcurrent(t *testing.T) {
 	}
 	if st.Hits == 0 {
 		t.Fatalf("no cache hits across 128 runs: %+v", st)
+	}
+
+	// Concurrent first runs of one new circuit share a single compile:
+	// one miss, and every other run is a hit (a wait or a cached read).
+	fresh := noisyMachine(7)
+	c := circuit.New(2, 2)
+	c.H(0).CX(0, 1).RZ(1, 0.3).MeasureAll()
+	start := make(chan struct{})
+	for g := 0; g < 16; g++ {
+		go func(g int) {
+			<-start
+			_, err := fresh.Run(c, 20, rng.New(uint64(g)))
+			errs <- err
+		}(g)
+	}
+	close(start)
+	for g := 0; g < 16; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fresh.CacheStats(); st.Misses != 1 || st.Hits != 15 || st.Waits > st.Hits || st.Entries != 1 {
+		t.Fatalf("16 concurrent first runs: %+v, want 1 miss, 15 hits, 1 entry", st)
 	}
 }

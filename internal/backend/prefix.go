@@ -69,7 +69,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"edm/internal/bitstr"
 	"edm/internal/circuit"
 	"edm/internal/rng"
 	"edm/internal/statevec"
@@ -202,8 +201,9 @@ type prefixPlan struct {
 	paths    []*treeNode // all paths, creation order; paths[0] == root
 	maxDepth int
 	// stateBytes is the checkpoint memory footprint (amplitude buffers
-	// only), reported by benchmarks and the PlanBytes gauge.
-	stateBytes int64
+	// only), reported by benchmarks and the PlanBytes gauge. It only
+	// grows under mu; CacheStats reads it without the lock.
+	stateBytes atomic.Int64
 	// full is set once growth hit the path cap or the byte budget, so
 	// later runs skip counting arrivals.
 	full atomic.Bool
@@ -213,7 +213,7 @@ type prefixPlan struct {
 // has room and checkpoint memory is below half the plan budget (the
 // new path still snapshots as it builds). Callers hold mu.
 func (p *prefixPlan) canGrow() bool {
-	return len(p.paths) < maxTreePaths && p.stateBytes < planStateBudget/2
+	return len(p.paths) < maxTreePaths && p.stateBytes.Load() < planStateBudget/2
 }
 
 // Tree and checkpoint budgets. An exit child adds a dominant path for a
@@ -246,7 +246,7 @@ func checkpointSpacing(nSteps int) int {
 
 // Engine counters, surfaced through EngineStatsSnapshot (cmd/edm
 // -cachestats). Plan-level counters cost nothing per trial; trial-level
-// counters are accumulated per stripe and flushed once (runStripe).
+// counters are accumulated per worker and flushed once per run.
 var engineStats struct {
 	plansBuilt    atomic.Int64
 	planFallbacks atomic.Int64
@@ -367,40 +367,12 @@ func ResetEngineStats() {
 	engineStats.unitSteals.Store(0)
 }
 
-// engineTally accumulates per-trial counters inside one stripe so the
-// hot loop touches no atomics; runStripe flushes it once.
-type engineTally struct {
-	full int64
-	div  int64
-	stab int64
-}
-
-func (t *engineTally) flush() {
-	if t.full != 0 {
-		engineStats.fullDominant.Add(t.full)
-	}
-	if t.div != 0 {
-		engineStats.divergent.Add(t.div)
-	}
-	if t.stab != 0 {
-		engineStats.stabTrials.Add(t.stab)
-	}
-	t.full, t.div, t.stab = 0, 0, 0
-}
-
-// planFor returns the program's prefix plan, building its spine on
-// first use. It returns nil when the machine runs the legacy engine.
-func (m *Machine) planFor(prog *program) *prefixPlan {
-	if m.engine == EngineLegacy {
-		return nil
-	}
-	prog.prefixOnce.Do(func() {
-		prog.prefix = buildPrefixPlan(prog)
-		if prog.prefix != nil {
-			m.chargePlan(prog, prog.prefix.stateBytes)
-		}
-	})
-	return prog.prefix
+// plan returns the program's prefix plan, building its spine on first
+// use; nil means the tape cannot model the program and it runs on the
+// legacy loop.
+func (prog *program) plan() *prefixPlan {
+	prog.prefixOnce.Do(func() { prog.prefix.Store(buildPrefixPlan(prog)) })
+	return prog.prefix.Load()
 }
 
 // treeBuilder carries the shared parameters of path builds: checkpoint
@@ -454,7 +426,7 @@ func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, st
 	if k := len(node.ckpts); k > 0 && node.ckpts[k-1].stepIdx == stepIdx {
 		return
 	}
-	if b.plan.stateBytes >= planStateBudget {
+	if b.plan.stateBytes.Load() >= planStateBudget {
 		return
 	}
 	node.ckpts = append(node.ckpts, checkpoint{
@@ -463,7 +435,7 @@ func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, st
 		state:   s.Clone(),
 		bits:    append([]int(nil), bits...),
 	})
-	b.plan.stateBytes += int64(16) << uint(b.prog.nLocal)
+	b.plan.stateBytes.Add(int64(16) << uint(b.prog.nLocal))
 }
 
 // buildPrefixPlan builds a plan's spine: the dominant path is executed
@@ -619,7 +591,7 @@ type exitKey struct {
 // the plan has room. Growth runs under the plan lock and publishes
 // each child atomically, so concurrent runs of one cached program walk
 // either the old or the new tree — both give the same Counts.
-func (m *Machine) growExits(prog *program, plan *prefixPlan, divs []divTrial) {
+func growExits(prog *program, plan *prefixPlan, divs []divTrial) {
 	if plan.full.Load() {
 		return
 	}
@@ -650,7 +622,6 @@ func (m *Machine) growExits(prog *program, plan *prefixPlan, divs []divTrial) {
 	})
 	plan.mu.Lock()
 	defer plan.mu.Unlock()
-	before := plan.stateBytes
 	b := newTreeBuilder(prog, plan)
 	for _, k := range keys {
 		if !plan.canGrow() {
@@ -661,7 +632,6 @@ func (m *Machine) growExits(prog *program, plan *prefixPlan, divs []divTrial) {
 		}
 	}
 	plan.full.Store(!plan.canGrow())
-	m.chargePlan(prog, plan.stateBytes-before)
 }
 
 // buildExit builds and publishes the exit child of parent.tape[idx]:
@@ -758,25 +728,16 @@ func (b *treeBuilder) replayScript(s *statevec.State, bits []int, from int, scri
 	panic("backend: branch script outlasted the schedule")
 }
 
-// testHookPrefix, when set by a test, observes each trial's tape-tree
-// walk: the path where the walk ended, the path draw index of the first
-// divergent draw or -1 for a fully dominant trial, and the trial stream
-// after its last draw, which the draw-order contract test compares
-// against the legacy loop's stream. Production runs leave it nil.
-var testHookPrefix func(trial, nodeID, divergedAt int, final *rng.RNG)
-
 // walkTape burns a trial stream's uniforms against the tape tree from
 // the start of path node (the root for a fresh trial), with rt
-// positioned at node.start: every tape
-// entry consumes one uniform and is re-evaluated with the live
-// comparison, and a minority branch with a grown exit moves the walk
-// onto the exit child. It returns the path where the walk ended, the
-// schedule step of the first divergent draw (-1 for a fully dominant
-// trial — rt is then positioned exactly before the readout draws), and
-// the path draw index of the divergent draw (-1 when dominant). It is
-// the state-free front half of both the sequential trial path
-// (runTrialShared) and the batched replay scheduler's walk phase.
-func walkTape(node *treeNode, rt *rng.RNG) (_ *treeNode, divStep, divPos int) {
+// positioned at node.start: every tape entry consumes one uniform and
+// is re-evaluated with the live comparison, and a minority branch with
+// a grown exit moves the walk onto the exit child. It returns the path
+// where the walk ended and the path draw index of the first divergent
+// draw, or -1 for a fully dominant trial — rt is then positioned
+// exactly before the readout draws. It is the state-free front half of
+// the batched engine: the walk phase of sched.go.
+func walkTape(node *treeNode, rt *rng.RNG) (_ *treeNode, divPos int) {
 walk:
 	for {
 		for i := range node.tape {
@@ -786,53 +747,9 @@ walk:
 					node = exit
 					continue walk
 				}
-				return node, int(e.step), node.start + i
+				return node, node.start + i
 			}
 		}
-		return node, -1, -1
+		return node, -1
 	}
-}
-
-// runTrialShared executes one trial through the prefix-sharing engine.
-// It must produce exactly the bits runTrajectory would produce for
-// r.DeriveN("trial", t) — the byte-identity tests enforce this across
-// every workload.
-func (m *Machine) runTrialShared(prog *program, plan *prefixPlan, scratch *statevec.State, trueBits []int, r *rng.RNG, t int, tally *engineTally) bitstr.BitString {
-	rt := r.DeriveN("trial", t)
-	node, divStep, divPos := walkTape(plan.root, rt)
-	if divStep < 0 {
-		// Fully dominant: the trial shares this path's final state, so
-		// only its readout draws are private. rt has consumed exactly as
-		// many uniforms as a live trajectory consumes before readout on
-		// this path.
-		copy(trueBits, node.domBits)
-		out := m.applyReadout(prog, trueBits, rt)
-		tally.full++
-		if testHookPrefix != nil {
-			testHookPrefix(t, node.id, -1, rt)
-		}
-		return out
-	}
-	// Divergent where no exit exists: restore the nearest checkpoint on
-	// the followed path at or before the divergent step and replay the
-	// suffix through the legacy loop with a fresh stream skipped to the
-	// checkpoint's draw index.
-	ck := node.checkpointBefore(divStep)
-	rr := r.DeriveN("trial", t)
-	rr.Skip(ck.tapeIdx)
-	if ck.state == nil {
-		scratch.Reset()
-		for i := range trueBits {
-			trueBits[i] = 0
-		}
-	} else {
-		scratch.CopyFrom(ck.state)
-		copy(trueBits, ck.bits)
-	}
-	out := m.resumeTrajectory(prog, scratch, trueBits, rr, ck.stepIdx)
-	tally.div++
-	if testHookPrefix != nil {
-		testHookPrefix(t, node.id, divPos, rr)
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"edm/internal/bitstr"
 	"edm/internal/circuit"
 	"edm/internal/device"
 	"edm/internal/dist"
@@ -38,20 +39,19 @@ func countsEqual(a, b *dist.Counts) bool {
 }
 
 // TestPrefixEngineByteIdentityWorkloads is the acceptance gate of the
-// prefix-sharing engine: for every workload in internal/workloads, the
-// Counts it produces must be byte-identical to the legacy trajectory
-// loop's, on both the serial path (trials < parallelThreshold) and the
-// striped parallel path. ci.sh re-runs it under -race at GOMAXPROCS=1
-// and at full width.
+// trajectory engine: for every workload in internal/workloads, the
+// Counts Run produces (the batched tape-tree engine) must be
+// byte-identical to the legacy trajectory loop's, on both the serial
+// path (trials < parallelThreshold) and the parallel path. ci.sh re-runs
+// it under -race at GOMAXPROCS=1 and at full width.
 func TestPrefixEngineByteIdentityWorkloads(t *testing.T) {
 	exes := physicalWorkloads(t)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	for name, exe := range exes {
 		for _, trials := range []int{100, 1000} { // serial and parallel
 			legacy := New(cal)
-			legacy.SetTrajectoryEngine(EngineLegacy)
 			prefix := New(cal)
-			want, err := legacy.Run(exe.Circuit, trials, rng.New(42))
+			want, err := legacy.runLegacy(exe.Circuit, trials, rng.New(42))
 			if err != nil {
 				t.Fatalf("%s legacy run: %v", name, err)
 			}
@@ -75,10 +75,9 @@ func TestPrefixEngineByteIdentityCached(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	exe := exes["bv-6"].Circuit
 	legacy := New(cal)
-	legacy.SetTrajectoryEngine(EngineLegacy)
 	cached := New(cal)
 	cached.EnableRunCache()
-	want, err := legacy.Run(exe, 600, rng.New(13))
+	want, err := legacy.runLegacy(exe, 600, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,31 +136,48 @@ func pathDraws(n *treeNode) uint64 {
 	return d
 }
 
-// TestPrefixDrawOrderContract proves the new engine consumes each
+// TestPrefixDrawOrderContract proves the batched engine consumes each
 // trial's stream in exactly the same order and count as runTrajectory:
-// for every trial of every workload, the legacy loop and the prefix
+// for every trial of every workload, the legacy loop and the batched
 // engine must land the trial stream on the same final state (equal
 // total draw counts from the same derivation base) and produce the same
-// outcome bits. Each plan is first grown by a batched run on the same
-// streams, so the sequential walk crosses exits. The test also checks
-// the engine's internal accounting — a trial that diverged at path
-// draw index i did so on its path's own tape — and that the suite
-// exercises fully dominant trials on the spine, dominant trials on an
-// exit path, and divergent trials.
+// outcome bits. The hooks observe each trial where it reads out, on a
+// walk or at the end of a replay. Each plan is first grown by a batched
+// run on the same streams, so the observed walks cross exits. The test
+// also checks the engine's internal accounting — a dominant trial drew
+// exactly its path's draws plus readout, and a trial that diverged at
+// path draw index i did so on its path's own tape, at an entry without
+// an exit — and that the suite exercises fully dominant trials on the
+// spine, dominant trials on an exit path, and divergent trials.
 func TestPrefixDrawOrderContract(t *testing.T) {
 	exes := physicalWorkloads(t)
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	m := New(cal)
 
-	sawDominant, sawForkedDominant, sawDivergent := false, false, false
-	var hookNode, hookDiv int
-	var hookFinal *rng.RNG
-	testHookPrefix = func(_, node, div int, final *rng.RNG) {
-		hookNode = node
-		hookDiv = div
-		hookFinal = final
+	type readout struct {
+		n     int // times read out
+		node  int
+		out   bitstr.BitString
+		final uint64
 	}
-	defer func() { testHookPrefix = nil }()
+	type divergence struct {
+		n, node, pos int
+	}
+	var reads []readout
+	var divs []divergence
+	// Each trial is observed by exactly one worker, so per-trial slots
+	// need no lock.
+	readHook := func(trial, node int, out bitstr.BitString, final *rng.RNG) {
+		r := &reads[trial]
+		r.n++
+		r.node, r.out, r.final = node, out, final.State()
+	}
+	divHook := func(trial, node, pos int) {
+		d := &divs[trial]
+		d.n++
+		d.node, d.pos = node, pos
+	}
+	defer func() { testHookPrefix, testHookDiverged = nil, nil }()
 
 	// The paper workloads plus a GHZ chain, whose first measurement is an
 	// exact 50/50 branch point — the canonical busy exit.
@@ -170,49 +186,55 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 		circuits[name] = exe.Circuit
 	}
 
+	sawDominant, sawForkedDominant, sawDivergent := false, false, false
 	const trials = 300
 	for name, exe := range circuits {
 		prog, err := m.getProgram(exe)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := m.planFor(prog)
+		plan := prog.plan()
 		if plan == nil {
 			t.Fatalf("%s: no prefix plan", name)
 		}
 		root := rng.New(99)
+		testHookPrefix, testHookDiverged = nil, nil
+		m.runBatched(prog, plan, trials, root, nil) // grow the tree
+		reads = make([]readout, trials)
+		divs = make([]divergence, trials)
+		testHookPrefix, testHookDiverged = readHook, divHook
 		m.runBatched(prog, plan, trials, root, nil)
+		paths := plan.pathList()
+
 		sLegacy := statevec.NewState(prog.nLocal)
-		sPrefix := statevec.NewState(prog.nLocal)
 		bitsLegacy := make([]int, prog.numClbits)
-		bitsPrefix := make([]int, prog.numClbits)
-		var tally engineTally
 		for trial := 0; trial < trials; trial++ {
 			legacyStream := newCountingStream(root, trial)
 			want := m.runTrajectory(prog, sLegacy, bitsLegacy, legacyStream.r)
 
-			hookFinal = nil
-			got := m.runTrialShared(prog, plan, sPrefix, bitsPrefix, root, trial, &tally)
-			if hookFinal == nil {
-				t.Fatalf("%s trial %d: hook not invoked", name, trial)
+			rd, dv := reads[trial], divs[trial]
+			if rd.n != 1 {
+				t.Fatalf("%s trial %d: read out %d times, want once", name, trial, rd.n)
 			}
-			prefixStream := &countingStream{r: hookFinal, base: root.DeriveN("trial", trial).State()}
-
-			if want != got {
-				t.Fatalf("%s trial %d: outcome differs (legacy %v, prefix %v)", name, trial, want, got)
+			if want != rd.out {
+				t.Fatalf("%s trial %d: outcome differs (legacy %v, batched %v)", name, trial, want, rd.out)
 			}
-			if legacyStream.draws() != prefixStream.draws() {
-				t.Fatalf("%s trial %d: draw count differs (legacy %d, prefix %d)",
-					name, trial, legacyStream.draws(), prefixStream.draws())
+			batchedDraws := rng.DrawCount(legacyStream.base, rd.final)
+			if legacyStream.draws() != batchedDraws {
+				t.Fatalf("%s trial %d: draw count differs (legacy %d, batched %d)",
+					name, trial, legacyStream.draws(), batchedDraws)
 			}
-			if legacyStream.r.State() != prefixStream.r.State() {
+			if legacyStream.r.State() != rd.final {
 				t.Fatalf("%s trial %d: final stream state differs", name, trial)
 			}
-			if hookNode < 0 || hookNode >= len(plan.paths) {
-				t.Fatalf("%s trial %d: hook path id %d out of range", name, trial, hookNode)
-			}
-			node := plan.paths[hookNode]
-			if hookDiv < 0 {
+			if rd.node >= 0 {
+				if dv.n != 0 {
+					t.Fatalf("%s trial %d: finished on path %d but was also handed to replay", name, trial, rd.node)
+				}
+				if rd.node >= len(paths) {
+					t.Fatalf("%s trial %d: hook path id %d out of range", name, trial, rd.node)
+				}
+				node := paths[rd.node]
 				sawDominant = true
 				if node.depth > 0 {
 					sawForkedDominant = true
@@ -226,20 +248,26 @@ func TestPrefixDrawOrderContract(t *testing.T) {
 						wantDraws++
 					}
 				}
-				if prefixStream.draws() != wantDraws {
-					t.Fatalf("%s trial %d: dominant trial drew %d, want %d",
-						name, trial, prefixStream.draws(), wantDraws)
+				if batchedDraws != wantDraws {
+					t.Fatalf("%s trial %d: dominant trial drew %d, want %d", name, trial, batchedDraws, wantDraws)
 				}
-			} else {
-				sawDivergent = true
-				own := pathDraws(node) - uint64(len(node.tape))
-				if uint64(hookDiv) < own || uint64(hookDiv) >= pathDraws(node) {
-					t.Fatalf("%s trial %d: divergence index %d outside path %d's own draws [%d, %d)",
-						name, trial, hookDiv, hookNode, own, pathDraws(node))
-				}
-				if ex := node.exits[uint64(hookDiv)-own].Load(); ex != nil {
-					t.Fatalf("%s trial %d: diverged at an entry whose exit exists", name, trial)
-				}
+				continue
+			}
+			if dv.n != 1 {
+				t.Fatalf("%s trial %d: replayed, but handed to replay %d times", name, trial, dv.n)
+			}
+			sawDivergent = true
+			if dv.node < 0 || dv.node >= len(paths) {
+				t.Fatalf("%s trial %d: divergence path id %d out of range", name, trial, dv.node)
+			}
+			node := paths[dv.node]
+			own := pathDraws(node) - uint64(len(node.tape))
+			if uint64(dv.pos) < own || uint64(dv.pos) >= pathDraws(node) {
+				t.Fatalf("%s trial %d: divergence index %d outside path %d's own draws [%d, %d)",
+					name, trial, dv.pos, dv.node, own, pathDraws(node))
+			}
+			if ex := node.exits[uint64(dv.pos)-own].Load(); ex != nil {
+				t.Fatalf("%s trial %d: diverged at an entry whose exit exists", name, trial)
 			}
 		}
 	}
@@ -275,12 +303,12 @@ func TestPrefixPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := m.planFor(prog)
+	plan := prog.plan()
 	if plan == nil {
 		t.Fatal("no plan")
 	}
-	if got := m.planFor(prog); got != plan {
-		t.Fatal("planFor rebuilt the plan")
+	if got := prog.plan(); got != plan {
+		t.Fatal("plan() rebuilt the plan")
 	}
 	if len(plan.paths) != 1 || plan.maxDepth != 0 || plan.root != plan.paths[0] {
 		t.Fatalf("fresh plan is not a spine: %d paths, depth %d", len(plan.paths), plan.maxDepth)
@@ -359,8 +387,8 @@ func TestPrefixPlanShape(t *testing.T) {
 			}
 		}
 	}
-	if plan.stateBytes != stateCkpts*(16<<uint(prog.nLocal)) {
-		t.Fatalf("stateBytes = %d, inconsistent with %d state checkpoints", plan.stateBytes, stateCkpts)
+	if got := plan.stateBytes.Load(); got != stateCkpts*(16<<uint(prog.nLocal)) {
+		t.Fatalf("stateBytes = %d, inconsistent with %d state checkpoints", got, stateCkpts)
 	}
 
 	// Per-path structure. A path's draws are each ancestor's tape up to
@@ -441,18 +469,15 @@ func TestPrefixPlanShape(t *testing.T) {
 }
 
 // TestTrialAllocsSteadyState pins the backend's steady-state allocation
-// contract from PR 1: about one allocation per trial (the derived trial
-// stream) on the legacy path, and at most two on the prefix-sharing
-// path (divergent trials derive a second stream to skip to their
-// checkpoint). Regressions here mean a scratch buffer leaked back into
-// the hot loop.
+// contract from PR 1 on the legacy loop: about one allocation per trial
+// (the derived trial stream). Regressions here mean a scratch buffer
+// leaked back into the hot loop.
 func TestTrialAllocsSteadyState(t *testing.T) {
 	m := noisyMachine(7)
 	prog, err := m.getProgram(benchCircuit(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := m.planFor(prog)
 	scratch := statevec.NewState(prog.nLocal)
 	trueBits := make([]int, prog.numClbits)
 	root := rng.New(11)
@@ -463,19 +488,9 @@ func TestTrialAllocsSteadyState(t *testing.T) {
 			m.runTrajectory(prog, scratch, trueBits, root.DeriveN("trial", trial))
 		}
 	}
-	var tally engineTally
-	prefixBody := func() {
-		for trial := 0; trial < trials; trial++ {
-			m.runTrialShared(prog, plan, scratch, trueBits, root, trial, &tally)
-		}
-	}
 	legacyBody() // warm up scratch pools and lazily built state
-	prefixBody()
 
 	if per := testing.AllocsPerRun(10, legacyBody) / trials; per > 1.1 {
 		t.Errorf("legacy path: %.2f allocs/trial, want ~1", per)
-	}
-	if per := testing.AllocsPerRun(10, prefixBody) / trials; per > 2.1 {
-		t.Errorf("prefix path: %.2f allocs/trial, want <= 2", per)
 	}
 }

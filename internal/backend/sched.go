@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"edm/internal/bitstr"
 	"edm/internal/dist"
 	"edm/internal/pool"
 	"edm/internal/rng"
@@ -41,14 +42,15 @@ import (
 // deque. An outstanding-unit counter drives termination.
 //
 // Determinism: every trial draws from its own derived stream positioned
-// exactly where the sequential engine would position it, and the final
+// exactly where the legacy loop would position it, and the final
 // histogram is a merge of integer counts, which is commutative — so
 // Counts are byte-identical to the legacy loop at any GOMAXPROCS, any
 // steal interleaving and any tree shape.
 //
-// Workers gate through the process-wide compute-token pool within each
-// phase and hold no token across the inter-phase barrier, so concurrent
-// Runs cannot deadlock on tokens.
+// Both phases fan out through pool.Each, so workers hold a compute
+// token within each phase and none across the inter-phase barrier, and
+// concurrent Runs cannot deadlock on tokens. A panic in any worker
+// reaches the caller of Run.
 
 // divTrial records one divergent trial found by a walk: the path it
 // ended on and the path draw index of its divergent draw.
@@ -115,10 +117,23 @@ func (d *unitDeque) stealHalf(buf []replayUnit) []replayUnit {
 	return buf
 }
 
+// Test hooks into the batched engine; production runs leave them nil.
+// testHookPrefix observes every trial as it reads out: the path it
+// finished on (-1 for a trial replayed from a checkpoint), its outcome,
+// and its stream after the last readout draw, which the draw-order
+// contract test compares against the legacy loop's stream.
+// testHookDiverged observes each trial the walk hands to replay: the
+// path it left and the path draw index of its divergent draw.
+var (
+	testHookPrefix   func(trial, nodeID int, out bitstr.BitString, final *rng.RNG)
+	testHookDiverged func(trial, nodeID, divPos int)
+)
+
 // walkPhase walks trials against the tape tree on up to `workers`
-// goroutines: trials 0..n-1 from the root when jobs is nil, else the n
-// jobs from their own paths. It returns the per-worker histograms of
-// the trials that finished dominant and every divergent trial.
+// workers: trials 0..n-1 from the root when jobs is nil, else the n
+// jobs from their own paths. Workers claim chunks from a shared cursor.
+// It returns the per-worker histograms of the trials that finished
+// dominant and every divergent trial.
 func (m *Machine) walkPhase(prog *program, plan *prefixPlan, n int, jobs []walkJob, r *rng.RNG, workers int, cancel *atomic.Bool) ([]*dist.Counts, []divTrial) {
 	if n < parallelThreshold {
 		workers = 1
@@ -127,11 +142,7 @@ func (m *Machine) walkPhase(prog *program, plan *prefixPlan, n int, jobs []walkJ
 	divLists := make([][]divTrial, workers)
 	var cursor atomic.Int64
 	const chunk = 256
-	var wg sync.WaitGroup
-	walker := func(w int) {
-		defer wg.Done()
-		pool.Acquire()
-		defer pool.Release()
+	pool.Each(workers, func(w int) {
 		counts := dist.NewCounts(prog.numClbits)
 		trueBits := make([]int, prog.numClbits)
 		var divs []divTrial
@@ -151,10 +162,14 @@ func (m *Machine) walkPhase(prog *program, plan *prefixPlan, n int, jobs []walkJ
 				}
 				rt := r.DeriveN("trial", t)
 				rt.Skip(from.start)
-				node, _, divPos := walkTape(from, rt)
+				node, divPos := walkTape(from, rt)
 				if divPos < 0 {
 					copy(trueBits, node.domBits)
-					counts.Observe(m.applyReadout(prog, trueBits, rt))
+					out := m.applyReadout(prog, trueBits, rt)
+					counts.Observe(out)
+					if testHookPrefix != nil {
+						testHookPrefix(t, node.id, out, rt)
+					}
 				} else {
 					divs = append(divs, divTrial{t: t, pos: divPos, node: node})
 				}
@@ -162,12 +177,7 @@ func (m *Machine) walkPhase(prog *program, plan *prefixPlan, n int, jobs []walkJ
 		}
 		partial[w] = counts
 		divLists[w] = divs
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go walker(w)
-	}
-	wg.Wait()
+	})
 	total := 0
 	for _, d := range divLists {
 		total += len(d)
@@ -180,12 +190,9 @@ func (m *Machine) walkPhase(prog *program, plan *prefixPlan, n int, jobs []walkJ
 }
 
 // runBatched runs `trials` trials of prog through the batched replay
-// engine. Counts are byte-identical to the sequential engines.
+// engine. Counts are byte-identical to the legacy loop.
 func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
-	workers := runtime.GOMAXPROCS(0)
-	if trials < parallelThreshold || workers < 2 {
-		workers = 1
-	}
+	workers := trialWorkers(trials)
 
 	// Phase A: tape-tree walks, dominant trials completed inline.
 	partial, divs := m.walkPhase(prog, plan, trials, nil, r, workers, cancel)
@@ -195,7 +202,7 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	// re-walked can reach exits no earlier round has counted.
 	var jobs []walkJob
 	for fresh := 0; cancel == nil || !cancel.Load(); {
-		m.growExits(prog, plan, divs[fresh:])
+		growExits(prog, plan, divs[fresh:])
 		jobs = jobs[:0]
 		keep := divs[:0]
 		for _, d := range divs {
@@ -223,6 +230,9 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	for _, d := range divs {
 		ck := d.node.checkpointBefore(int(d.entry().step))
 		buckets[ck] = append(buckets[ck], d.t)
+		if testHookDiverged != nil {
+			testHookDiverged(d.t, d.node.id, d.pos)
+		}
 	}
 	var units []replayUnit
 	for ck, ids := range buckets {
@@ -240,15 +250,8 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	// (though not the result — counts merge commutatively) is stable.
 	sort.Slice(units, func(i, j int) bool { return units[i].ids[0] < units[j].ids[0] })
 
-	merge := func() *dist.Counts {
-		counts := dist.NewCounts(prog.numClbits)
-		for _, p := range partial {
-			counts.Merge(p)
-		}
-		return counts
-	}
 	if len(units) == 0 {
-		return merge()
+		return mergeCounts(prog.numClbits, partial)
 	}
 
 	// Phase B: batched suffix replay with work stealing.
@@ -258,11 +261,16 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 	}
 	var outstanding atomic.Int64
 	outstanding.Store(int64(len(units)))
-	var wg sync.WaitGroup
-	phaseB := func(w int) {
-		defer wg.Done()
-		pool.Acquire()
-		defer pool.Release()
+	// A panicking worker never retires its unit, so it flags the others
+	// to stop waiting for outstanding to drain; pool.Each re-raises it.
+	var failed atomic.Bool
+	pool.Each(workers, func(w int) {
+		defer func() {
+			if p := recover(); p != nil {
+				failed.Store(true)
+				panic(p)
+			}
+		}()
 		counts := partial[w] // merge replay outcomes into the walk histogram
 		var tally batchTally
 		var stolen []replayUnit
@@ -280,7 +288,7 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 					}
 				}
 				if len(stolen) == 0 {
-					if outstanding.Load() == 0 {
+					if outstanding.Load() == 0 || failed.Load() {
 						break
 					}
 					runtime.Gosched()
@@ -301,11 +309,6 @@ func (m *Machine) runBatched(prog *program, plan *prefixPlan, trials int, r *rng
 			outstanding.Add(-1)
 		}
 		tally.flush()
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go phaseB(w)
-	}
-	wg.Wait()
-	return merge()
+	})
+	return mergeCounts(prog.numClbits, partial)
 }

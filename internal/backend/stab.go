@@ -90,8 +90,7 @@ type stabAnalysis struct {
 }
 
 // stabFor returns the program's cached Clifford analysis, running it on
-// first use. The analysis is engine-independent; whether its plan is
-// *used* is the engine's call (selectStab).
+// first use.
 func (m *Machine) stabFor(prog *program) *stabAnalysis {
 	prog.stabOnce.Do(func() {
 		prog.stab = analyzeStab(prog)
@@ -116,26 +115,14 @@ func storeMax(a *atomic.Int64, v int64) {
 	}
 }
 
-// selectStab resolves which engine executes the program and returns the
-// stabilizer plan to use (nil means the statevector path). It errors
-// when the selected engine cannot run the program at all: a strict
-// EngineStabilizer on a non-Clifford schedule, or a statevector path on
-// a device subset wider than the amplitude simulator.
+// selectStab returns the stabilizer plan to run the program on, or nil
+// for the statevector path: the tableau whenever the whole schedule
+// converts, otherwise the statevector, which refuses a device subset
+// wider than the amplitude simulator.
 func (m *Machine) selectStab(prog *program) (*stabPlan, error) {
-	switch m.engine {
-	case EngineStabilizer:
-		a := m.stabFor(prog)
-		if a.plan == nil {
-			return nil, fmt.Errorf("backend: engine=stabilizer but schedule step %d is not Clifford (prefix %d of %d steps)",
-				a.prefixLen, a.prefixLen, len(prog.steps))
-		}
+	if a := m.stabFor(prog); a.plan != nil {
 		return a.plan, nil
-	case EnginePrefixSharing:
-		if a := m.stabFor(prog); a.plan != nil {
-			return a.plan, nil
-		}
 	}
-	// Statevector path (legacy, pinned, or Clifford fallback).
 	if prog.nLocal > statevec.MaxQubits {
 		return nil, fmt.Errorf("backend: %d active qubits exceed simulator limit %d (non-Clifford schedule cannot use the stabilizer engine)",
 			prog.nLocal, statevec.MaxQubits)
@@ -202,20 +189,20 @@ func (m *Machine) runStabStripe(prog *program, sp *stabPlan, start, stride, tria
 	counts := dist.NewCounts(prog.numClbits)
 	tab := stabilizer.New(prog.nLocal)
 	trueBits := make([]int, prog.numClbits)
-	var tally engineTally
+	var n int64
 	for t := start; t < trials; t += stride {
 		if cancel != nil && cancel.Load() {
 			break
 		}
 		counts.Observe(m.runStabTrial(prog, sp, tab, trueBits, r.DeriveN("trial", t)))
-		tally.stab++
+		n++
 	}
-	tally.flush()
+	engineStats.stabTrials.Add(n)
 	return counts
 }
 
 // runStabTrial executes one trial on the tableau. The draw sequence is
-// step-for-step the one resumeTrajectory performs, so a trial's RNG
+// step-for-step the one runTrajectory performs, so a trial's RNG
 // stream position is identical on both engines at every step boundary.
 func (m *Machine) runStabTrial(prog *program, sp *stabPlan, tab *stabilizer.Tableau, trueBits []int, rt *rng.RNG) bitstr.BitString {
 	tab.CopyFrom(sp.snap)

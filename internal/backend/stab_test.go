@@ -70,27 +70,22 @@ func assertSameCounts(t *testing.T, label string, nbits int, want, got interface
 }
 
 // TestStabilizerByteIdentity is the acceptance property: on random
-// Clifford(+Pauli noise) circuits the default engine (which routes
-// fully-Clifford schedules to the tableau) produces histograms
-// byte-identical to both statevector engines, at serial and striped
-// trial counts. Run with -race and GOMAXPROCS=1 in CI.
+// Clifford(+Pauli noise) circuits Run (which routes fully-Clifford
+// schedules to the tableau) produces histograms byte-identical to the
+// tape-tree statevector engine, and so does the legacy loop, at serial
+// and parallel trial counts. Run with -race and GOMAXPROCS=1 in CI.
 func TestStabilizerByteIdentity(t *testing.T) {
 	ResetEngineStats()
 	r := rng.New(977)
 	for n := 2; n <= 12; n++ {
 		c := randomCliffordChain(n, r.DeriveN("circuit", n))
-		// Three machines over the same calibration so program caches
-		// don't alias engines.
+		// Three machines over the same calibration, one per path.
 		auto := cliffordMachine(n, uint64(n))
 		sv := cliffordMachine(n, uint64(n))
-		sv.SetTrajectoryEngine(EngineStatevector)
 		legacy := cliffordMachine(n, uint64(n))
-		legacy.SetTrajectoryEngine(EngineLegacy)
-		strict := cliffordMachine(n, uint64(n))
-		strict.SetTrajectoryEngine(EngineStabilizer)
 		for _, trials := range []int{97, 600} { // below and above parallelThreshold
 			seed := uint64(1000*n + trials)
-			want, err := sv.Run(c, trials, rng.New(seed))
+			want, err := sv.runStatevector(c, trials, rng.New(seed))
 			if err != nil {
 				t.Fatalf("n=%d statevector: %v", n, err)
 			}
@@ -99,16 +94,11 @@ func TestStabilizerByteIdentity(t *testing.T) {
 				t.Fatalf("n=%d auto: %v", n, err)
 			}
 			assertSameCounts(t, "auto vs statevector", n, want, got)
-			leg, err := legacy.Run(c, trials, rng.New(seed))
+			leg, err := legacy.runLegacy(c, trials, rng.New(seed))
 			if err != nil {
 				t.Fatalf("n=%d legacy: %v", n, err)
 			}
 			assertSameCounts(t, "legacy vs statevector", n, want, leg)
-			str, err := strict.Run(c, trials, rng.New(seed))
-			if err != nil {
-				t.Fatalf("n=%d strict: %v", n, err)
-			}
-			assertSameCounts(t, "strict vs statevector", n, want, str)
 		}
 	}
 	s := EngineStatsSnapshot()
@@ -117,17 +107,6 @@ func TestStabilizerByteIdentity(t *testing.T) {
 	}
 	if s.StabFallbacks != 0 {
 		t.Fatalf("unexpected stabilizer fallbacks on Clifford-clean circuits: %+v", s)
-	}
-}
-
-// TestStabilizerStrictRejectsNonClifford pins the EngineStabilizer
-// contract: a Melbourne-profile schedule (finite T1/T2 produce damping
-// steps) must error, not silently fall back.
-func TestStabilizerStrictRejectsNonClifford(t *testing.T) {
-	m := noisyMachine(53)
-	m.SetTrajectoryEngine(EngineStabilizer)
-	if _, err := m.Run(bell(t), 10, rng.New(1)); err == nil || !strings.Contains(err.Error(), "not Clifford") {
-		t.Fatalf("strict stabilizer on damped schedule: err = %v, want non-Clifford error", err)
 	}
 }
 
@@ -183,7 +162,8 @@ func ghzOnTopo(topo *device.Topology, measured int) *circuit.Circuit {
 
 // TestStabilizerWideDevice runs a 127-qubit heavy-hex GHZ-style chain
 // end to end — far beyond the statevector width limit — and checks that
-// the statevector-pinned engine refuses the same program.
+// Run refuses the same program made non-Clifford by one T gate, which
+// would need the statevector.
 func TestStabilizerWideDevice(t *testing.T) {
 	topo := device.HeavyHexEagle127()
 	cal := device.Generate(topo, device.HeavyHexProfile(), rng.New(7))
@@ -198,10 +178,9 @@ func TestStabilizerWideDevice(t *testing.T) {
 		t.Fatalf("dropped trials: %d of 400", counts.Total())
 	}
 
-	pinned := New(cal)
-	pinned.SetTrajectoryEngine(EngineStatevector)
-	if _, err := pinned.Run(c, 10, rng.New(12)); err == nil || !strings.Contains(err.Error(), "exceed simulator limit") {
-		t.Fatalf("statevector-pinned on 127 qubits: err = %v, want width error", err)
+	nonClifford := circuit.New(c.NumQubits, c.NumClbits).T(0).Append(c)
+	if _, err := m.Run(nonClifford, 10, rng.New(12)); err == nil || !strings.Contains(err.Error(), "exceed simulator limit") {
+		t.Fatalf("non-Clifford program on 127 qubits: err = %v, want width error", err)
 	}
 }
 
@@ -226,8 +205,7 @@ func TestStabilizerSnapshotPrefix(t *testing.T) {
 	}
 	// Identity against the statevector engine on the same calibration.
 	sv := cliffordMachine(4, 3)
-	sv.SetTrajectoryEngine(EngineStatevector)
-	want, err := sv.Run(c, 500, rng.New(99))
+	want, err := sv.runStatevector(c, 500, rng.New(99))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"edm/internal/circuit"
 	"edm/internal/dist"
@@ -45,47 +43,9 @@ func (r *Runner) RunExecutablesCtx(ctx context.Context, execs []*mapper.Executab
 	if ctx == nil || ctx.Done() == nil {
 		return r.RunExecutables(execs, cfg, rr)
 	}
-	if len(execs) == 0 {
-		return nil, fmt.Errorf("core: empty ensemble")
-	}
-	res := &Result{Config: cfg, Members: make([]Member, len(execs))}
-	base := cfg.Trials / len(execs)
-	rem := cfg.Trials % len(execs)
-
-	fanout := runtime.GOMAXPROCS(0)
-	if fanout > len(execs) {
-		fanout = len(execs)
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	sem := make(chan struct{}, fanout)
-	errs := make([]error, len(execs))
-	var wg sync.WaitGroup
-	for i, exe := range execs {
-		trials := base
-		if i < rem {
-			trials++
-		}
-		memberRNG := rr.DeriveN("member", i)
-		wg.Add(1)
-		go func(i int, exe *mapper.Executable, trials int, mr *rng.RNG) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			counts, err := r.Machine.RunCtx(ctx, exe.Circuit, trials, mr)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: member %d: %w", i, err)
-				return
-			}
-			res.Members[i] = Member{Exec: exe, Counts: counts, Output: counts.Dist()}
-		}(i, exe, trials, memberRNG)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	res, err := r.runMembers(ctx, execs, cfg, rr)
+	if err != nil {
+		return nil, err
 	}
 	if err := mergeChecked(res, cfg); err != nil {
 		return nil, err

@@ -20,15 +20,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"edm/internal/backend"
 	"edm/internal/bitstr"
 	"edm/internal/circuit"
 	"edm/internal/dist"
 	"edm/internal/mapper"
+	"edm/internal/pool"
 	"edm/internal/rng"
 )
 
@@ -150,56 +150,49 @@ func (r *Runner) Run(logical *circuit.Circuit, cfg Config, rr *rng.RNG) (*Result
 // executes on the machine, and the outputs are merged per cfg.Weighting.
 //
 // Members run concurrently: each one derives an independent RNG stream
-// from its index before its goroutine starts, and results land in their
-// member slot, so the outcome is bit-identical to running them serially.
-// Member fan-out is capped at GOMAXPROCS, and the backend additionally
-// gates its trial workers through a process-wide token pool, so
-// member-level and trial-level parallelism compose instead of
-// oversubscribing the CPUs.
+// from its index, and results land in their member slot, so the outcome
+// is bit-identical to running them serially. Members fan out through
+// pool.Fan, and the backend gates its trial workers through the
+// process-wide token pool, so member-level and trial-level parallelism
+// compose instead of oversubscribing the CPUs.
 func (r *Runner) RunExecutables(execs []*mapper.Executable, cfg Config, rr *rng.RNG) (*Result, error) {
+	res, err := r.runMembers(context.TODO(), execs, cfg, rr)
+	if err != nil {
+		return nil, err
+	}
+	merge(res, cfg)
+	return res, nil
+}
+
+// runMembers runs every member of the ensemble through the machine's
+// RunCtx (exactly Run under a never-cancellable ctx) and returns the
+// unmerged result. The first member error by index is returned.
+func (r *Runner) runMembers(ctx context.Context, execs []*mapper.Executable, cfg Config, rr *rng.RNG) (*Result, error) {
 	if len(execs) == 0 {
 		return nil, fmt.Errorf("core: empty ensemble")
 	}
 	res := &Result{Config: cfg, Members: make([]Member, len(execs))}
 	base := cfg.Trials / len(execs)
 	rem := cfg.Trials % len(execs)
-
-	fanout := runtime.GOMAXPROCS(0)
-	if fanout > len(execs) {
-		fanout = len(execs)
-	}
-	if fanout < 1 {
-		fanout = 1
-	}
-	sem := make(chan struct{}, fanout)
 	errs := make([]error, len(execs))
-	var wg sync.WaitGroup
-	for i, exe := range execs {
+	pool.Fan(len(execs), func(i int) {
 		trials := base
 		if i < rem {
 			trials++
 		}
-		memberRNG := rr.DeriveN("member", i)
-		wg.Add(1)
-		go func(i int, exe *mapper.Executable, trials int, mr *rng.RNG) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			counts, err := r.Machine.Run(exe.Circuit, trials, mr)
-			if err != nil {
-				errs[i] = fmt.Errorf("core: member %d: %w", i, err)
-				return
-			}
-			res.Members[i] = Member{Exec: exe, Counts: counts, Output: counts.Dist()}
-		}(i, exe, trials, memberRNG)
-	}
-	wg.Wait()
+		exe := execs[i]
+		counts, err := r.Machine.RunCtx(ctx, exe.Circuit, trials, rr.DeriveN("member", i))
+		if err != nil {
+			errs[i] = fmt.Errorf("core: member %d: %w", i, err)
+			return
+		}
+		res.Members[i] = Member{Exec: exe, Counts: counts, Output: counts.Dist()}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
 	}
-	merge(res, cfg)
 	return res, nil
 }
 

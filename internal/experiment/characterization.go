@@ -4,6 +4,7 @@ import (
 	"edm/internal/bitstr"
 	"edm/internal/circuit"
 	"edm/internal/dist"
+	"edm/internal/pool"
 	"edm/internal/statevec"
 	"edm/internal/workloads"
 )
@@ -34,7 +35,7 @@ func Fig1(s Setup) Fig1Result {
 	out := Fig1Result{Key: w.Correct, Ideal: ideal}
 	deep := deepBV2()
 	dists := make([]*dist.Dist, s.Rounds)
-	runCells(s.Rounds, func(i int) {
+	pool.Fan(s.Rounds, func(i int) {
 		r := s.Round(i)
 		m, err := r.Runner.RunSingleBest(deep, s.Trials, r.RNG.Derive("fig1"))
 		if err != nil {
@@ -130,7 +131,7 @@ func Fig4(s Setup) Fig4Result {
 	}
 	sameDists := make([]*dist.Dist, 8)
 	divDists := make([]*dist.Dist, len(execs))
-	runCells(len(sameDists)+len(divDists), func(i int) {
+	pool.Fan(len(sameDists)+len(divDists), func(i int) {
 		if i < len(sameDists) {
 			d, err := r.Machine.RunDist(execs[0].Circuit, s.Trials, r.RNG.DeriveN("fig4-same", i))
 			if err != nil {

@@ -12,6 +12,7 @@ import (
 	"edm/internal/dist"
 	"edm/internal/mapper"
 	"edm/internal/memo"
+	"edm/internal/pool"
 	"edm/internal/rng"
 	"edm/internal/workloads"
 )
@@ -285,7 +286,7 @@ func RunDrifting(s DriftSetup) DriftResult {
 		}
 		runner := core.NewRunner(cc, mach)
 		round.Cells = make([]DriftCell, len(ws))
-		runCells(len(ws), func(i int) {
+		pool.Fan(len(ws), func(i int) {
 			w := ws[i]
 			cr := root.DeriveN("cycle-run", cycle).Derive(w.Name)
 			bd, err := mach.RunDist(comps[i][0].Circuit, s.Trials, cr.Derive("baseline"))

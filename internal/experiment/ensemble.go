@@ -6,6 +6,7 @@ import (
 
 	"edm/internal/core"
 	"edm/internal/dist"
+	"edm/internal/pool"
 	"edm/internal/workloads"
 )
 
@@ -30,7 +31,7 @@ func Fig6(s Setup) Fig6Result {
 		MappingIST: make([]float64, len(execs)),
 		MappingESP: make([]float64, len(execs)),
 	}
-	runCells(len(execs), func(i int) {
+	pool.Fan(len(execs), func(i int) {
 		e := execs[i]
 		d, err := r.Machine.RunDist(e.Circuit, s.Trials, r.RNG.DeriveN("fig6", i))
 		if err != nil {
@@ -109,7 +110,7 @@ type policyCell struct {
 // The (workload x round) cells are mutually independent — each
 // materializes its own Round and derives every RNG stream from the
 // round's root and the workload name, exactly as the serial loop this
-// replaced did — so they run concurrently via runCells and the reported
+// replaced did — so they run concurrently via pool.Fan and the reported
 // tables are bit-identical to a serial sweep.
 func RunPolicies(s Setup, names []string, set policySet) []PolicyRow {
 	for _, name := range names {
@@ -118,7 +119,7 @@ func RunPolicies(s Setup, names []string, set policySet) []PolicyRow {
 		}
 	}
 	cells := make([]policyCell, len(names)*s.Rounds)
-	runCells(len(cells), func(ci int) {
+	pool.Fan(len(cells), func(ci int) {
 		name := names[ci/s.Rounds]
 		w, _ := workloads.ByName(name)
 		r := s.Round(ci % s.Rounds)
@@ -269,7 +270,7 @@ func Fig8(s Setup) Fig8Result {
 		ESP: make([]float64, len(execs)),
 		PST: make([]float64, len(execs)),
 	}
-	runCells(len(execs), func(i int) {
+	pool.Fan(len(execs), func(i int) {
 		e := execs[i]
 		d, err := r.Machine.RunDist(e.Circuit, s.Trials, r.RNG.DeriveN("fig8", i))
 		if err != nil {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"edm/internal/ballsim"
+	"edm/internal/pool"
 	"edm/internal/rng"
 	"edm/internal/workloads"
 )
@@ -56,7 +57,7 @@ func Fig13(s Setup) Fig13Result {
 
 	names := []string{"qaoa-6", "bv-6", "greycode-6"}
 	out.Experimental = make([]Fig13Point, len(names)*s.Rounds)
-	runCells(len(out.Experimental), func(ci int) {
+	pool.Fan(len(out.Experimental), func(ci int) {
 		name := names[ci/s.Rounds]
 		w, _ := workloads.ByName(name)
 		rd := s.Round(ci % s.Rounds)

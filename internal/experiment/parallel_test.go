@@ -28,18 +28,3 @@ func TestRunPoliciesDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("two parallel sweeps differ:\n1: %+v\n2: %+v", par1, par2)
 	}
 }
-
-func TestRunCellsPanicOrder(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	defer func() {
-		if r := recover(); r != "cell-1" {
-			t.Fatalf("recovered %v, want cell-1", r)
-		}
-	}()
-	runCells(4, func(i int) {
-		if i == 1 || i == 3 {
-			panic("cell-" + string(rune('0'+i)))
-		}
-	})
-}

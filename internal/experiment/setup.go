@@ -44,12 +44,6 @@ type Setup struct {
 	// structure the caches were benchmarked against. Results are
 	// bit-identical either way; benchmarks use it as the frozen baseline.
 	NoCache bool
-	// Engine selects the machine's trajectory engine. The zero value is
-	// the default auto engine (stabilizer tableau for fully-Clifford
-	// schedules, prefix-sharing statevector otherwise); benchmarks pin
-	// backend.EngineStatevector so frozen baselines keep measuring
-	// statevector work.
-	Engine backend.TrajectoryEngine
 }
 
 // Default returns the paper-scale setup: IBMQ-14, 16384 trials, 10
@@ -117,7 +111,6 @@ func (s Setup) buildRound(i int, cached bool) *Round {
 	runtimeCal := cal.Drift(s.Drift, root.DeriveN("drift", i))
 	comp := mapper.CachedCompiler(cal)
 	mach := backend.New(runtimeCal)
-	mach.SetTrajectoryEngine(s.Engine)
 	if cached {
 		mach.EnableRunCache()
 	} else {

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"sort"
-	"sync"
 
 	"edm/internal/pool"
 )
@@ -245,31 +244,20 @@ func MonomorphismsParallel(pattern, target *Graph, limit int) [][]int {
 		return nil
 	}
 	n := target.N()
-	workers := pool.Workers(n)
-	if workers < 2 {
+	if pool.Workers(n) < 2 {
 		return Monomorphisms(pattern, target, limit)
 	}
 	s := NewMonoSearch(pattern, target)
 	shards := make([][][]int, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool.Acquire()
-			defer pool.Release()
-			for first := w; first < n; first += workers {
-				var res [][]int
-				r := s.NewRunner(Hooks{Emit: func(m []int) bool {
-					res = append(res, append([]int(nil), m...))
-					return limit > 0 && len(res) >= limit
-				}})
-				r.RunFrom(first)
-				shards[first] = res
-			}
-		}(w)
-	}
-	wg.Wait()
+	pool.Each(n, func(first int) {
+		var res [][]int
+		r := s.NewRunner(Hooks{Emit: func(m []int) bool {
+			res = append(res, append([]int(nil), m...))
+			return limit > 0 && len(res) >= limit
+		}})
+		r.RunFrom(first)
+		shards[first] = res
+	})
 	var out [][]int
 	for _, res := range shards {
 		out = append(out, res...)

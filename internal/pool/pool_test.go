@@ -113,3 +113,64 @@ func TestBuffersConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+func TestFanCoversAllItems(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	const n = 37
+	var hits [n]atomic.Int32
+	var live, peak atomic.Int32
+	Fan(n, func(i int) {
+		cur := live.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		hits[i].Add(1)
+		live.Add(-1)
+	})
+	for i := range hits {
+		if hits[i].Load() != 1 {
+			t.Fatalf("item %d ran %d times", i, hits[i].Load())
+		}
+	}
+	if p := peak.Load(); p > 4 {
+		t.Fatalf("%d items ran at once, want at most GOMAXPROCS=4", p)
+	}
+}
+
+// TestFanPanicOrder: Fan re-raises the lowest-index panic in the
+// caller, as the serial loop it replaces would have surfaced first.
+func TestFanPanicOrder(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	defer func() {
+		if r := recover(); r != "cell-1" {
+			t.Fatalf("recovered %v, want cell-1", r)
+		}
+	}()
+	Fan(4, func(i int) {
+		if i == 1 || i == 3 {
+			panic("cell-" + string(rune('0'+i)))
+		}
+	})
+}
+
+// TestFanNestsWithEach: orchestration goroutines that each run a leaf
+// fan-out must not deadlock the token pool, however many there are.
+func TestFanNestsWithEach(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	const cells, items = 3 * 4, 64
+	var sums [cells]atomic.Int64
+	Fan(cells, func(c int) {
+		Each(items, func(i int) { sums[c].Add(int64(i)) })
+	})
+	for c := range sums {
+		if got := sums[c].Load(); got != items*(items-1)/2 {
+			t.Fatalf("cell %d summed %d", c, got)
+		}
+	}
+}

@@ -20,15 +20,14 @@ package selector
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"edm/internal/backend"
 	"edm/internal/bitstr"
 	"edm/internal/device"
 	"edm/internal/dist"
 	"edm/internal/mapper"
+	"edm/internal/pool"
 	"edm/internal/statevec"
 )
 
@@ -90,11 +89,11 @@ func (o Options) maxCandidates() int {
 // candidate whose addition maximizes the IST of the uniformly merged
 // predicted distribution. It returns the chosen executables together with
 // the predicted merged IST.
-func Select(cal *device.Calibration, pool []*mapper.Executable, k int, correct bitstr.BitString, opts Options) ([]*mapper.Executable, float64, error) {
+func Select(cal *device.Calibration, candidates []*mapper.Executable, k int, correct bitstr.BitString, opts Options) ([]*mapper.Executable, float64, error) {
 	if k <= 0 {
 		return nil, 0, fmt.Errorf("selector: k must be positive")
 	}
-	if len(pool) == 0 {
+	if len(candidates) == 0 {
 		return nil, 0, fmt.Errorf("selector: empty pool")
 	}
 	maxQ := opts.MaxQubits
@@ -103,7 +102,7 @@ func Select(cal *device.Calibration, pool []*mapper.Executable, k int, correct b
 	}
 	limit := opts.maxCandidates()
 	cands := make([]*mapper.Executable, 0, limit)
-	for _, exe := range pool {
+	for _, exe := range candidates {
 		if len(cands) == limit {
 			break
 		}
@@ -118,24 +117,14 @@ func Select(cal *device.Calibration, pool []*mapper.Executable, k int, correct b
 	// Exact simulation dominates the selection cost, so candidates are
 	// predicted concurrently into per-index slots; the slot order keeps the
 	// result identical to the serial loop this replaced, and the first
-	// error by candidate index is the one reported. The fan-out is bounded
-	// by a local semaphore rather than the compute-token pool: each
-	// simulation is itself a token-gated leaf inside the backend, and an
-	// orchestration layer must never hold tokens its leaves wait on.
+	// error by candidate index is the one reported. Each simulation is
+	// orchestration over the backend's token-gated leaves, so the fan-out
+	// is pool.Fan's local semaphore, not the compute-token pool.
 	preds := make([]Prediction, len(cands))
 	errs := make([]error, len(cands))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, exe := range cands {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, exe *mapper.Executable) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			preds[i], errs[i] = Predict(cal, exe, correct)
-		}(i, exe)
-	}
-	wg.Wait()
+	pool.Fan(len(cands), func(i int) {
+		preds[i], errs[i] = Predict(cal, cands[i], correct)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, 0, err

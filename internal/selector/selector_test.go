@@ -13,7 +13,7 @@ import (
 	"edm/internal/workloads"
 )
 
-func pool(t *testing.T, cal *device.Calibration, w workloads.Workload, n int) []*mapper.Executable {
+func candidatePool(t *testing.T, cal *device.Calibration, w workloads.Workload, n int) []*mapper.Executable {
 	t.Helper()
 	comp := mapper.NewCompiler(cal)
 	execs, err := comp.TopK(w.Circuit, n)
@@ -28,7 +28,7 @@ func TestPredictMatchesMachine(t *testing.T) {
 	// under the same calibration must converge to it.
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(3))
 	w := workloads.BV("101")
-	execs := pool(t, cal, w, 1)
+	execs := candidatePool(t, cal, w, 1)
 	p, err := Predict(cal, execs[0], w.Correct)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestPredictMatchesMachine(t *testing.T) {
 func TestIdealAnswer(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5))
 	w := workloads.BV("1101")
-	execs := pool(t, cal, w, 1)
+	execs := candidatePool(t, cal, w, 1)
 	ans, err := IdealAnswer(execs[0])
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestIdealAnswer(t *testing.T) {
 func TestSelectBasics(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(7))
 	w := workloads.BV("1011")
-	cand := pool(t, cal, w, 8)
+	cand := candidatePool(t, cal, w, 8)
 	execs, predIST, err := Select(cal, cand, 3, w.Correct, Options{MaxCandidates: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestSelectPredictionBeatsESPOrder(t *testing.T) {
 	// that objective over a superset of choices).
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(9))
 	w := workloads.BV("1011")
-	cand := pool(t, cal, w, 8)
+	cand := candidatePool(t, cal, w, 8)
 	_, predIST, err := Select(cal, cand, 4, w.Correct, Options{MaxCandidates: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestSelectRunsOnMachine(t *testing.T) {
 	// merged distribution.
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(11))
 	w := workloads.BV("1011")
-	cand := pool(t, cal, w, 6)
+	cand := candidatePool(t, cal, w, 6)
 	execs, _, err := Select(cal, cand, 4, w.Correct, Options{MaxCandidates: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestSelectValidation(t *testing.T) {
 		t.Fatal("empty pool accepted")
 	}
 	w := workloads.BV("10")
-	cand := pool(t, cal, w, 1)
+	cand := candidatePool(t, cal, w, 1)
 	if _, _, err := Select(cal, cand, 0, w.Correct, Options{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}

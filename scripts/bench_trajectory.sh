@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Regenerates BENCH_trajectory.json: the DESIGN.md §10 tape-tree
-# trajectory engine versus the frozen legacy full-replay loop
-# (Machine.SetTrajectoryEngine(EngineLegacy)), with per-leaf hit rates,
-# tree depth, and resident checkpoint bytes per case.
+# Regenerates BENCH_trajectory.json: the DESIGN.md §10/§15 batched
+# tape-tree trajectory engine versus the frozen legacy full-replay loop
+# (the planless fallback), with per-path hit rates, tree depth, and
+# resident checkpoint bytes per case.
 #
 # Usage: scripts/bench_trajectory.sh [output.json]
 #

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Local CI gate: vet, build, full tests, then a race-detector pass over the
-# packages with real concurrency (parallel ensemble members in core, striped
-# trial workers and the program cache in backend, the work-split VF2 driver
-# in graph, the parallel candidate pipeline in mapper, predicted-IST fan-out
-# in selector, and the cell-parallel sweeps in experiment).
+# packages with real concurrency (the Each/Fan fan-out primitives in pool,
+# parallel ensemble members in core, trial workers and the program cache in
+# backend, the work-split VF2 driver in graph, the parallel candidate
+# pipeline in mapper, predicted-IST fan-out in selector, and the
+# cell-parallel sweeps in experiment).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -34,7 +35,7 @@ echo "== go test =="
 go test ./...
 
 echo "== go test -race (concurrent packages) =="
-go test -race ./internal/core ./internal/backend ./internal/graph \
+go test -race ./internal/pool ./internal/core ./internal/backend ./internal/graph \
 	./internal/mapper ./internal/selector ./internal/experiment
 
 echo "== router determinism at GOMAXPROCS=1 =="
@@ -126,23 +127,18 @@ GOMAXPROCS=1 go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|Diff|Dri
 go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|Diff|DriftLocal' \
 	./internal/mapper ./internal/experiment ./internal/memo ./internal/device
 
-echo "== trajectory engine determinism (DESIGN.md §10) =="
-# The tape-tree engine must match the frozen legacy loop byte for byte
-# at GOMAXPROCS=1 and at full stripe width; both passes run under the
-# race detector because the tape tree and its checkpoints are shared
-# read-only across workers (and the stats tally is flushed per stripe).
-GOMAXPROCS=1 go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan' ./internal/backend
-go test -race -count=1 -run 'PrefixEngine|PrefixDrawOrder|PrefixPlan' ./internal/backend
-
-echo "== batched replay identity (DESIGN.md §15) =="
-# The batched divergent-suffix scheduler must match the sequential
-# tape-tree replay (and, transitively, the legacy loop) byte for byte:
+echo "== trajectory engine identity (DESIGN.md §10, §15) =="
+# Run's one engine — the batched tape-tree scheduler — must match the
+# frozen legacy loop byte for byte, trial for trial and draw for draw:
 # GOMAXPROCS=1 pins the serial scheduler, the full-width pass runs the
 # two-phase walk/replay pipeline with work stealing under the race
-# detector. PlanGrowth runs one cached program concurrently at mixed
-# trial counts, so runs grow the shared tape tree while others walk it.
-GOMAXPROCS=1 go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|PlanGrowth' ./internal/backend
-go test -race -count=1 -run 'BatchedReplay|MaxLanesFor|PlanGrowth' ./internal/backend
+# detector (the tape tree and its checkpoints are shared read-only across
+# workers). PlanGrowth runs one cached program concurrently at mixed
+# trial counts, so runs grow the shared tape tree while others walk it;
+# PanicReaches pins that a panicking trial reaches the caller of Run.
+TRAJ_TESTS='PrefixEngine|PrefixDrawOrder|PrefixPlan|BatchedReplay|MaxLanesFor|PlanGrowth|PanicReaches'
+GOMAXPROCS=1 go test -race -count=1 -run "$TRAJ_TESTS" ./internal/backend
+go test -race -count=1 -run "$TRAJ_TESTS" ./internal/backend
 
 echo "== statevec batch kernels: purego path =="
 # The batch kernels' scalar fallbacks must pin the same frozen oracle
@@ -154,8 +150,9 @@ echo "== trajectory bench non-regression (committed BENCH_trajectory.json) =="
 # of the previous commit. This compares recorded files (not a live
 # measurement), so it is deterministic: it fails only when someone
 # commits a report whose best q14 engine is slower than what the prior
-# commit shipped. Older reports predate the batched engine, so fall
-# back to the sequential column there.
+# commit shipped. Older reports predate the batched engine and newer
+# ones postdate the sequential one, so a missing column reads as 0 and
+# the best column present counts.
 if git rev-parse --verify -q HEAD:BENCH_trajectory.json >/dev/null; then
 	git show HEAD:BENCH_trajectory.json >/tmp/bench_traj_head.json
 	python3 - <<-'PY'
@@ -163,7 +160,7 @@ if git rev-parse --verify -q HEAD:BENCH_trajectory.json >/dev/null; then
 	def best(path):
 	    rows = {r["case"]: r for r in json.load(open(path))["rows"]}
 	    row = rows["RunTrajectory/q14"]
-	    return max(row.get("batched_trials_per_s", 0.0), row["prefix_trials_per_s"])
+	    return max(row.get("batched_trials_per_s", 0.0), row.get("prefix_trials_per_s", 0.0))
 	prior, current = best("/tmp/bench_traj_head.json"), best("BENCH_trajectory.json")
 	print(f"q14 trials/s: prior commit {prior:.0f}, working tree {current:.0f}")
 	if current < prior:
@@ -175,7 +172,7 @@ fi
 
 echo "== stabilizer engine identity (DESIGN.md §13) =="
 # Fully-Clifford schedules route to the tableau engine; its histograms
-# must be byte-identical to both statevector engines at GOMAXPROCS=1
+# must be byte-identical to the statevector engine and the legacy loop at GOMAXPROCS=1
 # and at full stripe width, under the race detector (the snapshot
 # tableau is shared read-only across workers). The stabilizer and
 # bitset packages carry the unit-level property tests.
