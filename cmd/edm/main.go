@@ -198,14 +198,15 @@ func printCacheStats(out *os.File) {
 	round := experiment.RoundCacheStats()
 	comp := mapper.CompilerCacheStats()
 	topk := mapper.TopKCacheStats()
+	poolCands, poolBytes := mapper.TopKPoolFootprint()
 	prog, run := experiment.BackendCacheStats()
 	fmt.Fprintln(out, "campaign cache stats:")
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"round", round.Hits, round.Misses, round.Waits, round.Evictions, round.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"compiler", comp.Hits, comp.Misses, comp.Waits, comp.Evictions, comp.Entries)
-	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
-		"topk", topk.Hits, topk.Misses, topk.Waits, topk.Evictions, topk.Entries)
+	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %-4d candidates %d pool-bytes %d\n",
+		"topk", topk.Hits, topk.Misses, topk.Waits, topk.Evictions, topk.Entries, poolCands, poolBytes)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %-4d plan-bytes %d\n",
 		"backend/prog", prog.Hits, prog.Misses, prog.Waits, prog.Evictions, prog.Entries, prog.PlanBytes)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",

@@ -2,6 +2,7 @@ package mapper
 
 import (
 	"sync"
+	"unsafe"
 
 	"edm/internal/circuit"
 	"edm/internal/device"
@@ -22,7 +23,12 @@ import (
 const compilerCacheCap = 32
 
 // ensembleCacheCap bounds each compiler's per-circuit pool and
-// single-best caches. The campaign's workload suite has 9 circuits.
+// single-best caches, and each Tracking's pool cache. The campaign's
+// workload suite has 9 circuits, but edmd's Tracking cache takes every
+// inline circuit its clients send, so the cap is its memory bound too:
+// at most ensembleCacheCap × enumLimit placements, each a 56-byte slab
+// value, its arena bytes and a 4-byte pool index — ~82 bytes for an
+// 11-qubit program, ~125 MiB in the worst case (DESIGN.md §9).
 const ensembleCacheCap = 16
 
 var (
@@ -57,36 +63,37 @@ func newEnsembleCache() *ensembleCache {
 // after the build; exes grows under mu as different k values select
 // overlapping candidates.
 //
-// raw, prog, seed, baseLayout and baseRes retain the build's
-// intermediates for incremental recompilation (recompile.go). raw is the
-// mono candidate list in *enumeration order*, before any sort or dedupe:
-// re-ranking under a new calibration must replay the exact
-// sort/split/dedupe pipeline on the full multiset, because dedupeByLayout
-// keeps whichever same-layout candidate ranks first — a choice that can
-// flip when ESPs move — and sortCandidates' stable ties are broken by
-// pre-sort order. raw shares candidate pointers with cpool, so the extra
-// memory is only the dropped duplicates.
+// slab holds every placement by value; cpool is the ranked pool as slab
+// indices. The slab's mono placements stay in *enumeration order*,
+// before any sort or dedupe, for incremental recompilation
+// (recompile.go): re-ranking under a new calibration must replay the
+// exact sort/split/dedupe pipeline on the full multiset, because
+// dedupeByLayout keeps whichever same-layout candidate ranks first — a
+// choice that can flip when ESPs move — and sortCandidates' stable ties
+// are broken by pre-sort order. prog, seed, baseLayout and baseRes
+// retain the rest of the build's intermediates for the same purpose.
 type poolEntry struct {
 	rp    *replacer
-	cpool []*candidate
+	slab  *slab
+	cpool []int32
 	err   error
 
 	gen        uint64 // calibration generation (Tracking pools only)
-	raw        []*candidate
 	prog       *routeProg
 	seed       []int // place() output the base routing started from
 	baseLayout []int // routeDry's winning initial layout
 	baseRes    passResult
-	// groups indexes the immutable skey/lkey structure of raw and order
-	// is this generation's sorted permutation of it; both are computed by
-	// the first incremental upgrade and carried down the lineage so later
-	// upgrades replace the assembly's hash maps with dense passes and
-	// start the sort from a nearly-sorted permutation (recompile.go).
+	// groups indexes the immutable skey/lkey structure of the mono
+	// placements and order is this generation's sorted permutation of
+	// them; both are computed by the first incremental upgrade and carried
+	// down the lineage so later upgrades replace the assembly's hash maps
+	// with dense passes and start the sort from a nearly-sorted
+	// permutation (recompile.go).
 	groups *poolGroups
 	order  []int32
 
 	mu   sync.Mutex
-	exes map[*candidate]*Executable
+	exes map[int32]*Executable // by slab index
 }
 
 // topK selects k members from the cached pool and materializes them,
@@ -96,23 +103,40 @@ func (pe *poolEntry) topK(k int) ([]*Executable, error) {
 	if pe.err != nil {
 		return nil, pe.err
 	}
-	sel := selectDiverse(pe.cpool, k)
+	sel := selectDiverse(pe.slab, pe.cpool, k)
 	out := make([]*Executable, len(sel))
-	for i, cd := range sel {
-		out[i] = pe.materialize(cd)
+	for i, ci := range sel {
+		out[i] = pe.materialize(ci)
 	}
 	return out, nil
 }
 
-func (pe *poolEntry) materialize(cd *candidate) *Executable {
+func (pe *poolEntry) materialize(i int32) *Executable {
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
-	if exe, ok := pe.exes[cd]; ok {
+	if exe, ok := pe.exes[i]; ok {
 		return exe
 	}
-	exe := pe.rp.materialize(cd)
-	pe.exes[cd] = exe
+	exe := pe.rp.materialize(pe.slab, i)
+	pe.exes[i] = exe
 	return exe
+}
+
+// footprint is the byte size of what scales with the placement count:
+// the slab's values, arenas and the indices over it (ranked pool, sort
+// order and, once a Tracking upgrade built it, the group index).
+func (pe *poolEntry) footprint() (cands int, bytes int64) {
+	s := pe.slab
+	if s == nil {
+		return 0, 0
+	}
+	bytes = int64(cap(s.cands))*int64(unsafe.Sizeof(candidate{})) +
+		int64(cap(s.arena)) + int64(cap(s.altArena)) +
+		4*int64(cap(pe.cpool)+cap(pe.order))
+	if g := pe.groups; g != nil {
+		bytes += 4*int64(cap(g.setGid)+cap(g.layGid)) + g.layByKey.bytes()
+	}
+	return len(s.cands), bytes
 }
 
 // bestEntry is one circuit's memoized k = 1 result.
@@ -159,6 +183,32 @@ func (c *Compiler) Uncached() *Compiler {
 // fingerprint (registers, ordered ops, exact parameter bits).
 func circuitKey(logical *circuit.Circuit) uint64 {
 	return logical.Fingerprint()
+}
+
+// poolFootprint sums the placements and bytes of a cache's live pools
+// (poolEntry.footprint).
+func poolFootprint(pools *memo.Cache[*poolEntry]) (candidates int, bytes int64) {
+	pools.Each(func(_ uint64, pe *poolEntry) {
+		c, b := pe.footprint()
+		candidates += c
+		bytes += b
+	})
+	return candidates, bytes
+}
+
+// TopKPoolFootprint reports the placements held by every CachedCompiler's
+// TopK pools and the bytes of their slabs, arenas and index slices. It is
+// summed on read over the pools the caches hold, so an evicted pool stops
+// counting at once.
+func TopKPoolFootprint() (candidates int, bytes int64) {
+	compilerCache.Each(func(_ uint64, c *Compiler) {
+		if c.ens != nil {
+			n, b := poolFootprint(c.ens.pools)
+			candidates += n
+			bytes += b
+		}
+	})
+	return candidates, bytes
 }
 
 // CompilerCacheStats snapshots the CachedCompiler cache counters.

@@ -88,3 +88,8 @@ func (t *Tracking) TopKCtx(ctx context.Context, logical *circuit.Circuit, k int)
 // serving layer's one-compile invariant; the serving metrics endpoint
 // exposes these numbers.
 func (t *Tracking) PoolStats() memo.Stats { return t.pools.Stats() }
+
+// PoolFootprint reports the placements held by this Tracking's pools and
+// the bytes of their slabs, arenas and index slices, summed on read over
+// the live pools like TopKPoolFootprint.
+func (t *Tracking) PoolFootprint() (candidates int, bytes int64) { return poolFootprint(t.pools) }

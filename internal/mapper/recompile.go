@@ -1,9 +1,10 @@
 package mapper
 
 import (
+	"bytes"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"edm/internal/circuit"
@@ -281,7 +282,7 @@ func (t *Tracking) CrossCheck(logical *circuit.Circuit) (identical bool, maxESPD
 	identical = len(pe.cpool) == len(fresh.cpool)
 	if identical {
 		for i := range pe.cpool {
-			if !candEqual(pe.cpool[i], fresh.cpool[i]) {
+			if !candEqual(pe.slab, pe.cpool[i], fresh.slab, fresh.cpool[i]) {
 				identical = false
 				break
 			}
@@ -291,10 +292,12 @@ func (t *Tracking) CrossCheck(logical *circuit.Circuit) (identical bool, maxESPD
 		return true, 0, nil
 	}
 	freshESP := make(map[uint64]float64, len(fresh.cpool))
-	for _, cd := range fresh.cpool {
+	for _, ci := range fresh.cpool {
+		cd := &fresh.slab.cands[ci]
 		freshESP[cd.lkey] = cd.esp
 	}
-	for _, cd := range pe.cpool {
+	for _, ci := range pe.cpool {
+		cd := &pe.slab.cands[ci]
 		if esp, ok := freshESP[cd.lkey]; ok {
 			maxESPDelta = math.Max(maxESPDelta, math.Abs(cd.esp-esp))
 			delete(freshESP, cd.lkey)
@@ -308,19 +311,22 @@ func (t *Tracking) CrossCheck(logical *circuit.Circuit) (identical bool, maxESPD
 	return false, maxESPDelta, nil
 }
 
-// candEqual reports bit-identity of two pool candidates: same ESP bits,
-// same initial layout, and the same routing decisions.
-func candEqual(a, b *candidate) bool {
-	if math.Float64bits(a.esp) != math.Float64bits(b.esp) || !sameInts(a.layout, b.layout) {
+// candEqual reports bit-identity of placement i of slab a and placement
+// j of slab b: same ESP bits, same initial layout, and the same routing
+// decisions.
+func candEqual(a *slab, i int32, b *slab, j int32) bool {
+	ca, cb := &a.cands[i], &b.cands[j]
+	if math.Float64bits(ca.esp) != math.Float64bits(cb.esp) || !bytes.Equal(a.layout(i), b.layout(j)) {
 		return false
 	}
-	if (a.alt == nil) != (b.alt == nil) {
+	if (ca.alt < 0) != (cb.alt < 0) {
 		return false
 	}
-	if a.alt != nil {
-		return sameInts(a.alt.res.final, b.alt.res.final) && sameRecs(a.alt.res.rec, b.alt.res.rec)
+	if ca.alt >= 0 {
+		ra, rb := a.alts[ca.alt].res, b.alts[cb.alt].res
+		return sameInts(ra.final, rb.final) && sameRecs(ra.rec, rb.rec)
 	}
-	return sameInts(a.mono, b.mono)
+	return bytes.Equal(a.mono(i), b.mono(j))
 }
 
 func sameRecs(a, b []swapRec) bool {
@@ -361,64 +367,45 @@ func (c *Compiler) scoreReplay(prog *routeProg, layout []int, rec []swapRec) flo
 	return st.esp
 }
 
-// poolGroups indexes the immutable structure of a pool lineage's raw
-// candidate list: dense group ids for the skey (qubit-set) and lkey
-// (layout) equivalence classes, keyed by raw position. Candidate sets and
-// layouts never change across generations — only ESPs move — so the
-// index is computed once, on the lineage's first incremental upgrade, and
-// shared by every later generation, turning the assembly's hash-map
-// passes into dense boolean passes.
+// poolGroups indexes the immutable structure of a pool lineage's mono
+// placements: dense group ids for the skey (qubit-set) and lkey (layout)
+// equivalence classes, keyed by slab index. Candidate sets and layouts
+// never change across generations — only ESPs move — so the index is
+// computed once, on the lineage's first incremental upgrade, and shared
+// by every later generation, turning the assembly's hash-map passes into
+// dense boolean passes.
 type poolGroups struct {
-	setGid   []int32          // raw index -> set-group id
-	layGid   []int32          // raw index -> layout-group id
-	layByKey map[uint64]int32 // mono lkey -> layout-group id
+	setGid   []int32   // slab index -> set-group id
+	layGid   []int32   // slab index -> layout-group id
+	layByKey *keyIndex // mono lkey -> layout-group id
 	nSet     int
 	nLay     int
 	// layUnique reports that every mono layout is distinct. Then the
 	// (esp desc, layout asc) comparator is a strict total order over the
-	// raw list, so its sort has a unique result regardless of algorithm
-	// or starting permutation — the upgrade can start from the previous
-	// generation's nearly-sorted order and use an adaptive unstable sort
-	// instead of a stable sort from enumeration order.
+	// mono placements, so its sort has a unique result regardless of
+	// algorithm or starting permutation — the upgrade can start from the
+	// previous generation's nearly-sorted order and use an adaptive
+	// unstable sort instead of a stable sort from enumeration order.
 	layUnique bool
 }
 
-func computeGroups(raw []*candidate) *poolGroups {
+func computeGroups(s *slab) *poolGroups {
+	mono := s.cands[:s.nMono]
 	g := &poolGroups{
-		setGid:    make([]int32, len(raw)),
-		layGid:    make([]int32, len(raw)),
-		layByKey:  make(map[uint64]int32, len(raw)),
+		setGid:    make([]int32, len(mono)),
+		layGid:    make([]int32, len(mono)),
+		layByKey:  newKeyIndex(len(mono)),
 		layUnique: true,
 	}
-	setIds := make(map[uint64]int32, len(raw))
-	for i, cd := range raw {
-		id, ok := setIds[cd.skey]
-		if !ok {
-			id = int32(len(setIds))
-			setIds[cd.skey] = id
-		}
-		g.setGid[i] = id
-		lid, ok := g.layByKey[cd.lkey]
-		if !ok {
-			lid = int32(len(g.layByKey))
-			g.layByKey[cd.lkey] = lid
-		} else {
-			g.layUnique = false
-		}
+	setIds := newKeyIndex(len(mono))
+	for i := range mono {
+		g.setGid[i], _ = setIds.id(mono[i].skey)
+		lid, dup := g.layByKey.id(mono[i].lkey)
 		g.layGid[i] = lid
+		g.layUnique = g.layUnique && !dup
 	}
-	g.nSet, g.nLay = len(setIds), len(g.layByKey)
+	g.nSet, g.nLay = setIds.n, g.layByKey.n
 	return g
-}
-
-// candLess is sortCandidates' comparator: ESP descending, then initial
-// layout ascending. Strict (a total order) whenever the layouts involved
-// are pairwise distinct.
-func candLess(a, b *candidate) bool {
-	if a.esp != b.esp {
-		return a.esp > b.esp
-	}
-	return lexLess(a.layout, b.layout)
 }
 
 // touchPred builds the footprint-intersection predicate for a diff
@@ -557,66 +544,62 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, d de
 		layoutIdx: prev.rp.layoutIdx, allUsed: prev.rp.allUsed,
 	}
 
-	// Mono candidates: shallow-copy each raw candidate into one slab
-	// (layout, set and mono are immutable and shared), re-scoring exactly
-	// the touched ones.
-	raw := prev.raw
-	slab := make([]candidate, len(raw))
-	newRaw := make([]*candidate, len(raw))
-	touched := make([]bool, len(raw))
-	for i, cd := range raw {
-		touched[i] = touchedAny(cd.set)
+	// Mono placements: tally which footprints the diff touched; their
+	// values are copied and rescored below, once the slab's final size is
+	// known.
+	ps := prev.slab
+	touched := make([]bool, ps.nMono)
+	for i := range touched {
+		touched[i] = touchedAny(ps.cands[i].set)
 		if touched[i] {
 			tally.Rescored++
 		} else {
 			tally.Reused++
 		}
 	}
-	pool.Each(len(raw), func(i int) {
-		slab[i] = *raw[i]
-		if touched[i] {
-			slab[i].esp = rp2.score(slab[i].mono)
-		}
-		newRaw[i] = &slab[i]
-	})
 
-	// Alternative placements.
-	oldAlt := make(map[uint64]*candidate)
-	for _, cd := range prev.cpool {
-		if cd.alt != nil {
-			oldAlt[cd.lkey] = cd
+	// Alternative placements. survived[i] is the previous slab index of
+	// the alternative alts[i] carries over (its executable can transfer),
+	// or -1.
+	oldAlt := make(map[uint64]int32)
+	for _, ci := range prev.cpool {
+		if ps.cands[ci].alt >= 0 {
+			oldAlt[ps.cands[ci].lkey] = ci
 		}
 	}
-	var altCands, altSurvived []*candidate
+	oldAltOf := func(ci int32) *altPlacement { return ps.alts[ps.cands[ci].alt] }
+	var alts []*altPlacement
+	var survived []int32
 	if mode == RecompileChecked {
 		// Re-run the seed sweep — this is the alt re-route check. Alts that
 		// come back with the same layout and SWAP log survived (their
 		// executables can transfer); the rest were genuinely re-routed.
-		alts2, _, err := c.alternativePlacements(prog)
+		var err error
+		alts, _, err = c.alternativePlacements(prog)
 		if err != nil {
 			tally.FullRebuilds++
 			tally.Dropped += uint64(len(prev.cpool))
 			return &poolEntry{err: err}
 		}
-		altCands = make([]*candidate, len(alts2))
-		altSurvived = make([]*candidate, len(alts2))
-		for i, a := range alts2 {
-			nc := candFromAlt(c.devN, a)
-			altCands[i] = nc
-			old := oldAlt[nc.lkey]
-			if old != nil && sameInts(old.layout, nc.layout) &&
-				sameInts(old.alt.res.final, a.res.final) && sameRecs(old.alt.res.rec, a.res.rec) {
-				altSurvived[i] = old
-				if touchedAny(nc.set) {
-					tally.Rescored++
-				} else {
-					tally.Reused++
+		survived = make([]int32, len(alts))
+		for i, a := range alts {
+			survived[i] = -1
+			oi, ok := oldAlt[hashInts(a.layout)]
+			if ok {
+				if old := oldAltOf(oi); sameInts(old.layout, a.layout) &&
+					sameInts(old.res.final, a.res.final) && sameRecs(old.res.rec, a.res.rec) {
+					survived[i] = oi
+					if touchedAny(a.usedMask(c.devN)) {
+						tally.Rescored++
+					} else {
+						tally.Reused++
+					}
+					continue
 				}
-			} else {
-				tally.Rerouted++
-				if old != nil {
-					tally.CheckFailed++
-				}
+			}
+			tally.Rerouted++
+			if ok {
+				tally.CheckFailed++
 			}
 		}
 	} else {
@@ -624,65 +607,74 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, d de
 		// ones whose footprint moved beyond tolerance (from their own old
 		// layout — the seed sweep is not re-run, which is part of the
 		// approximation the cross-check mode measures).
-		for _, old := range prev.cpool {
-			if old.alt == nil {
+		for _, oi := range prev.cpool {
+			oc := &ps.cands[oi]
+			if oc.alt < 0 {
 				continue
 			}
-			if !touchedTol(old.set) {
-				esp := old.esp
-				if touchedAny(old.set) {
-					esp = c.scoreReplay(prog, old.alt.layout, old.alt.res.rec)
+			old := oldAltOf(oi)
+			if !touchedTol(oc.set) {
+				esp := oc.esp
+				if touchedAny(oc.set) {
+					esp = c.scoreReplay(prog, old.layout, old.res.rec)
 					tally.Rescored++
 				} else {
 					tally.Reused++
 				}
-				a2 := &altPlacement{c: c, prog: prog, layout: old.alt.layout,
-					res: passResult{final: old.alt.res.final, rec: old.alt.res.rec, esp: esp}}
-				nc := candFromAlt(c.devN, a2)
-				altCands = append(altCands, nc)
-				altSurvived = append(altSurvived, old)
+				alts = append(alts, &altPlacement{c: c, prog: prog, layout: old.layout,
+					res: passResult{final: old.res.final, rec: old.res.rec, esp: esp}})
+				survived = append(survived, oi)
 				continue
 			}
-			bl, res, err := c.routeDry(prog, old.alt.layout)
+			bl, res, err := c.routeDry(prog, old.layout)
 			if err != nil {
 				return full()
 			}
 			tally.Rerouted++
-			altCands = append(altCands, candFromAlt(c.devN, &altPlacement{c: c, prog: prog, layout: bl, res: res}))
-			altSurvived = append(altSurvived, nil)
+			alts = append(alts, &altPlacement{c: c, prog: prog, layout: bl, res: res})
+			survived = append(survived, -1)
 		}
 	}
 
-	// Replay buildPool's exact assembly on the upgraded candidates,
-	// replacing its hash maps with dense passes over the lineage's group
-	// index. The sorted order is materialized as a permutation of raw
-	// indices, so newRaw itself stays in enumeration order and becomes the
-	// new entry's raw without another copy.
+	// The new slab: the mono values copied by value over the shared
+	// immutable arena, touched ones rescored in place, then this
+	// generation's alternatives.
+	nMono := ps.nMono
+	ns := &slab{nMono: nMono, nUsed: ps.nUsed, nLay: ps.nLay, arena: ps.arena}
+	ns.cands = make([]candidate, nMono, nMono+len(alts))
+	copy(ns.cands, ps.cands[:nMono])
+	pool.Each(nMono, func(i int) {
+		if touched[i] {
+			ns.cands[i].esp = rp2.score(ns.mono(int32(i)))
+		}
+	})
+	ns.addAlts(alts, c.devN)
+
+	// Replay buildPool's exact assembly on the upgraded slab, replacing
+	// its hash maps with dense passes over the lineage's group index. The
+	// sorted order is materialized as a permutation of the mono indices,
+	// which stay in enumeration order.
 	g := prev.groups
 	if g == nil {
-		g = computeGroups(raw)
+		g = computeGroups(ps)
 	}
-	idx := make([]int32, len(newRaw))
+	var idx []int32
 	if g.layUnique {
 		// Strict total order: start from the previous generation's sorted
 		// permutation (small ESP moves leave it nearly sorted, which the
 		// adaptive sort exploits) — the unique result matches buildPool's
 		// stable sort from enumeration order.
 		if prev.order != nil {
-			copy(idx, prev.order)
+			idx = slices.Clone(prev.order)
 		} else {
-			for i := range idx {
-				idx[i] = int32(i)
-			}
+			idx = ns.monoOrder()
 		}
-		sort.Slice(idx, func(a, b int) bool { return candLess(newRaw[idx[a]], newRaw[idx[b]]) })
+		slices.SortFunc(idx, ns.compare)
 	} else {
 		// Duplicate layouts exist: ties must resolve by enumeration order,
 		// exactly as sortCandidates' stable sort does.
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		sort.SliceStable(idx, func(a, b int) bool { return candLess(newRaw[idx[a]], newRaw[idx[b]]) })
+		idx = ns.monoOrder()
+		sortCandidates(ns, idx)
 	}
 	order := idx
 
@@ -690,31 +682,31 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, d de
 	// dropped (every mono lkey precedes it through distinct ++ dupes in
 	// buildPool's pipeline), and among same-layout alts the first in sweep
 	// order wins, exactly as dedupeByLayout resolves them.
-	altSeen := make(map[uint64]bool, len(altCands))
-	keptAlts := make([]*candidate, 0, len(altCands))
-	for _, nc := range altCands {
-		if _, dup := g.layByKey[nc.lkey]; dup || altSeen[nc.lkey] {
+	altSeen := make(map[uint64]bool, len(alts))
+	keptAlts := make([]int32, 0, len(alts))
+	for i := nMono; i < len(ns.cands); i++ {
+		lkey := ns.cands[i].lkey
+		if g.layByKey.has(lkey) || altSeen[lkey] {
 			continue
 		}
-		altSeen[nc.lkey] = true
-		keptAlts = append(keptAlts, nc)
+		altSeen[lkey] = true
+		keptAlts = append(keptAlts, int32(i))
 	}
 
-	var cpool []*candidate
+	cpool := make([]int32, 0, len(idx)+len(keptAlts))
 	if g.layUnique {
 		// Every mono layout is distinct, so dedupeByLayout keeps every mono
 		// and the final pool is just the sorted monos merged with the sorted
 		// surviving alts — the split-by-set reshuffle is undone by the final
 		// sort, whose strict comparator makes the merge its unique result.
-		sort.Slice(keptAlts, func(a, b int) bool { return candLess(keptAlts[a], keptAlts[b]) })
-		cpool = make([]*candidate, 0, len(idx)+len(keptAlts))
+		slices.SortFunc(keptAlts, ns.compare)
 		ai := 0
 		for _, ri := range idx {
-			for ai < len(keptAlts) && candLess(keptAlts[ai], newRaw[ri]) {
+			for ai < len(keptAlts) && ns.compare(keptAlts[ai], ri) < 0 {
 				cpool = append(cpool, keptAlts[ai])
 				ai++
 			}
-			cpool = append(cpool, newRaw[ri])
+			cpool = append(cpool, ri)
 		}
 		cpool = append(cpool, keptAlts[ai:]...)
 	} else {
@@ -735,45 +727,47 @@ func (c *Compiler) recompilePool(logical *circuit.Circuit, prev *poolEntry, d de
 			distinct = append(distinct, ri)
 		}
 		seenLay := make([]bool, g.nLay)
-		cpool = make([]*candidate, 0, len(idx)+len(keptAlts))
 		for _, part := range [][]int32{distinct, dupes} {
 			for _, ri := range part {
 				if seenLay[g.layGid[ri]] {
 					continue
 				}
 				seenLay[g.layGid[ri]] = true
-				cpool = append(cpool, newRaw[ri])
+				cpool = append(cpool, ri)
 			}
 		}
 		cpool = append(cpool, keptAlts...)
-		sort.Slice(cpool, func(i, j int) bool { return candLess(cpool[i], cpool[j]) })
+		slices.SortFunc(cpool, ns.compare)
 	}
 
 	// Transfer materialized executables: a surviving candidate's circuit is
 	// calibration-independent (same structure), so a shallow copy with the
-	// new ESP serves the new pool without re-materializing.
-	exes := make(map[*candidate]*Executable)
+	// new ESP serves the new pool without re-materializing. Mono slab
+	// indices carry over unchanged.
+	exes := make(map[int32]*Executable)
 	prev.mu.Lock()
-	for i, cd := range raw {
-		if exe, ok := prev.exes[cd]; ok {
+	for i, exe := range prev.exes {
+		if int(i) < nMono {
 			e2 := *exe
-			e2.ESP = newRaw[i].esp
-			exes[newRaw[i]] = &e2
+			e2.ESP = ns.cands[i].esp
+			exes[i] = &e2
 		}
 	}
-	for i, nc := range altCands {
-		if old := altSurvived[i]; old != nil {
-			if exe, ok := prev.exes[old]; ok {
-				e2 := *exe
-				e2.ESP = nc.esp
-				exes[nc] = &e2
-			}
+	for i, oi := range survived {
+		if oi < 0 {
+			continue
+		}
+		if exe, ok := prev.exes[oi]; ok {
+			ni := int32(nMono + i)
+			e2 := *exe
+			e2.ESP = ns.cands[ni].esp
+			exes[ni] = &e2
 		}
 	}
 	prev.mu.Unlock()
 
 	return &poolEntry{
-		rp: rp2, cpool: cpool, raw: newRaw, prog: prog,
+		rp: rp2, slab: ns, cpool: cpool, prog: prog,
 		seed: prev.seed, baseLayout: prev.baseLayout, baseRes: baseRes,
 		groups: g, order: order, exes: exes,
 	}

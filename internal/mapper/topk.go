@@ -1,9 +1,11 @@
 package mapper
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"edm/internal/bitset"
@@ -18,14 +20,14 @@ import (
 // Earlier versions materialized a full Executable — a cloned circuit plus
 // a device.ESP pass — for every isomorphic placement the VF2 enumeration
 // produced (hundreds of thousands for the Table 1 workloads). The
-// pipeline now keeps a lightweight candidate record per placement: the
-// ESP is recomputed incrementally from per-gate tables as the search
-// emits each mapping, qubit sets are bitmasks, layout identity is a
-// 64-bit hash, and circuits are only cloned for the <= k placements that
-// survive ranking, dedupe and diversity selection. Enumeration and
-// scoring shard across the compute-token pool on the first VF2 match
-// level and merge in first-candidate order, so results are bit-identical
-// to a serial run.
+// pipeline now keeps a lightweight candidate value per placement, in one
+// slab per pool: the ESP is recomputed incrementally from per-gate tables
+// as the search emits each mapping, qubit sets are bitmasks, layout
+// identity is a 64-bit hash, and circuits are only cloned for the <= k
+// placements that survive ranking, dedupe and diversity selection.
+// Enumeration and scoring shard across the compute-token pool on the
+// first VF2 match level and merge in first-candidate order, so results
+// are bit-identical to a serial run.
 
 // enumLimit caps the number of isomorphic placements enumerated; the
 // 14-qubit devices of interest stay well under it.
@@ -119,15 +121,126 @@ func (a *atomicFloat) raise(v float64) {
 	}
 }
 
-// candidate is a placement in the TopK pool before materialization.
+// ---------------------------------------------------------------------------
+// The pool's value slab.
+
+// A pool holds every isomorphic placement of the compiled program — tens
+// of thousands for an 11-qubit circuit — and edmd keeps pools across
+// jobs, so the per-placement record is a plain value with no pointers:
+// the qubit lists live one byte per entry in a shared arena and the
+// sorted pool, its groups and the materialized-executable memo are int32
+// indices into the slab. A physical qubit p is stored as p in a mono
+// list and as p+1 in a layout, so a layout's unused slot (-1) is 0 and
+// still sorts first under byte comparison.
+const _ uint = 254 - bitset.Cap // the encoding needs bitset.Cap <= 254
+
+// candidate is one placement in a pool's slab, before materialization.
 type candidate struct {
-	esp    float64
-	layout []int // logical -> physical, the initial layout
-	lkey   uint64
-	set    qmask
-	skey   uint64
-	mono   []int         // used[i] -> physical; nil for alternative placements
-	alt    *altPlacement // dry-routed alternative placement, replayed on demand
+	esp  float64
+	lkey uint64 // hashInts of the decoded initial layout
+	skey uint64 // maskHash(set)
+	set  qmask
+	// off locates the placement's qubit lists: mono ++ layout in
+	// slab.arena for a mono placement, the layout in slab.altArena for an
+	// alternative one.
+	off int32
+	alt int32 // index into slab.alts; -1 for a mono placement
+}
+
+// slab stores a pool's placements by value: the mono placements of the
+// VF2 enumeration in enumeration order, then the dry-routed alternative
+// placements. arena is immutable once enumerated, so the generations of
+// a Tracking lineage share it and copy only the candidate values they
+// rescore; alternatives are re-swept per generation and carry their own
+// small arena.
+type slab struct {
+	cands    []candidate
+	nMono    int     // cands[:nMono] are the mono placements
+	nUsed    int     // mono length: the base executable's used qubits
+	nLay     int     // layout length: the program's logical qubits
+	arena    []uint8 // per mono placement: mono ++ layout
+	alts     []*altPlacement
+	altArena []uint8 // per alternative placement: its layout
+}
+
+func (s *slab) mono(i int32) []uint8 {
+	o := int(s.cands[i].off)
+	return s.arena[o : o+s.nUsed]
+}
+
+func (s *slab) layout(i int32) []uint8 {
+	cd := &s.cands[i]
+	if cd.alt >= 0 {
+		o := int(cd.off)
+		return s.altArena[o : o+s.nLay]
+	}
+	o := int(cd.off) + s.nUsed
+	return s.arena[o : o+s.nLay]
+}
+
+// monoOrder returns the mono placements' indices in enumeration order.
+func (s *slab) monoOrder() []int32 {
+	idx := make([]int32, s.nMono)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}
+
+// layoutInts decodes placement i's initial layout.
+func (s *slab) layoutInts(i int32) []int {
+	enc := s.layout(i)
+	out := make([]int, len(enc))
+	for j, b := range enc {
+		out[j] = int(b) - 1
+	}
+	return out
+}
+
+// compare is the pool order: ESP descending, then initial layout
+// ascending. Byte order on the p+1 encoding is lexicographic order on
+// the decoded layouts.
+func (s *slab) compare(i, j int32) int {
+	a, b := s.cands[i].esp, s.cands[j].esp
+	if a != b {
+		if a > b {
+			return -1
+		}
+		return 1
+	}
+	return bytes.Compare(s.layout(i), s.layout(j))
+}
+
+// addAlts appends the candidates of the dry-routed alternative
+// placements after the mono placements.
+func (s *slab) addAlts(alts []*altPlacement, devN int) {
+	s.alts = alts
+	s.altArena = make([]uint8, 0, len(alts)*s.nLay)
+	for i, a := range alts {
+		off := len(s.altArena)
+		for _, p := range a.layout {
+			s.altArena = append(s.altArena, uint8(p+1))
+		}
+		set := a.usedMask(devN)
+		s.cands = append(s.cands, candidate{
+			esp:  a.res.esp,
+			lkey: hashInts(a.layout),
+			skey: maskHash(set),
+			set:  set,
+			off:  int32(off),
+			alt:  int32(i),
+		})
+	}
+}
+
+// hashLayout is hashInts of the decoded layout, read from its encoding.
+func hashLayout(enc []uint8) uint64 {
+	h := uint64(fnvOffset)
+	h = fnvMix(h, uint64(len(enc)))
+	for _, b := range enc {
+		h = fnvMix(h, uint64(int64(b)-1))
+	}
+	return h
 }
 
 // replacer drives isomorphic re-placements of one base executable: the
@@ -228,7 +341,7 @@ func (c *Compiler) newReplacer(base *Executable) *replacer {
 // per-op factors and their multiplication order replicate device.ESP on
 // the remapped circuit exactly, so the result is bit-identical to
 // materializing the circuit and rescoring it.
-func (rp *replacer) score(mono []int) float64 {
+func (rp *replacer) score(mono []uint8) float64 {
 	c := rp.c
 	esp := 1.0
 	for _, op := range rp.ops {
@@ -247,41 +360,59 @@ func (rp *replacer) score(mono []int) float64 {
 	return esp
 }
 
-// layoutOf builds the candidate's initial layout (logical -> physical).
-func (rp *replacer) layoutOf(mono []int) []int {
-	out := make([]int, len(rp.base.InitialLayout))
-	if rp.allUsed {
-		for i, j := range rp.layoutIdx {
-			out[i] = mono[j]
-		}
-		return out
-	}
-	vm := identityExtend(rp.used, mono, rp.c.devN)
-	for i, p := range rp.base.InitialLayout {
-		if p >= 0 {
-			out[i] = vm[p]
-		} else {
-			out[i] = -1
-		}
-	}
-	return out
+// shard is one first-level VF2 subtree's placements, appended to the
+// same layout as a slab's mono part.
+type shard struct {
+	cands []candidate
+	arena []uint8
+	// Scratch for the identityExtend fallback of programs whose initial
+	// layout holds never-touched qubits.
+	vm    []int
+	taken []bool
 }
 
-func (rp *replacer) makeCandidate(mono []int) *candidate {
-	m := append([]int(nil), mono...)
+// appendCandidate records the placement mono (used[i] -> physical) in
+// sh: its mono list and initial layout (logical -> physical) go to the
+// arena, its ESP, qubit set and keys to the candidate value. The shard's
+// slices double when full, so a shard allocates O(log n) times for n
+// placements; enumerate copies them into the exact-size slab.
+func (rp *replacer) appendCandidate(sh *shard, mono []int) {
+	if len(sh.cands) == cap(sh.cands) {
+		n := max(len(sh.cands), 64)
+		sh.cands = slices.Grow(sh.cands, n)
+		sh.arena = slices.Grow(sh.arena, n*(len(mono)+len(rp.base.InitialLayout)))
+	}
+	off := len(sh.arena)
 	var set qmask
-	for _, q := range m {
+	for _, q := range mono {
+		sh.arena = append(sh.arena, uint8(q))
 		set.Add(q)
 	}
-	layout := rp.layoutOf(m)
-	return &candidate{
-		esp:    rp.score(m),
-		layout: layout,
-		lkey:   hashInts(layout),
-		set:    set,
-		skey:   maskHash(set),
-		mono:   m,
+	if rp.allUsed {
+		for _, j := range rp.layoutIdx {
+			sh.arena = append(sh.arena, uint8(mono[j]+1))
+		}
+	} else {
+		if sh.vm == nil {
+			sh.vm, sh.taken = make([]int, rp.c.devN), make([]bool, rp.c.devN)
+		}
+		vm := identityExtendInto(sh.vm, sh.taken, rp.used, mono)
+		for _, p := range rp.base.InitialLayout {
+			if p >= 0 {
+				p = vm[p]
+			}
+			sh.arena = append(sh.arena, uint8(p+1))
+		}
 	}
+	enc := sh.arena[off:]
+	sh.cands = append(sh.cands, candidate{
+		esp:  rp.score(enc[:len(mono)]),
+		lkey: hashLayout(enc[len(mono):]),
+		skey: maskHash(set),
+		set:  set,
+		off:  int32(off),
+		alt:  -1,
+	})
 }
 
 // runShard enumerates the subtree rooted at the given first-level VF2
@@ -291,15 +422,14 @@ func (rp *replacer) makeCandidate(mono []int) *candidate {
 // pruning is strict, so every candidate that could win the deterministic
 // (ESP desc, layout asc, emission order) ranking survives in every run,
 // even though the exact survivor set depends on worker timing.
-func (rp *replacer) runShard(first int, thr *atomicFloat) []*candidate {
-	var out []*candidate
+func (rp *replacer) runShard(first int, thr *atomicFloat) *shard {
+	sh := &shard{}
 	h := graph.Hooks{Emit: func(m []int) bool {
-		cd := rp.makeCandidate(m)
+		rp.appendCandidate(sh, m)
 		if thr != nil {
-			thr.raise(cd.esp)
+			thr.raise(sh.cands[len(sh.cands)-1].esp)
 		}
-		out = append(out, cd)
-		return len(out) >= enumLimit
+		return len(sh.cands) >= enumLimit
 	}}
 	if thr != nil {
 		stack := make([]float64, len(rp.search.Order())+1)
@@ -335,66 +465,68 @@ func (rp *replacer) runShard(first int, thr *atomicFloat) []*candidate {
 	}
 	r := rp.search.NewRunner(h)
 	r.RunFrom(first)
-	return out
+	return sh
 }
 
 // enumerate runs the sharded search across the compute pool and merges
 // shard outputs in ascending first-candidate order — the serial
-// enumeration order — truncated to enumLimit.
-func (rp *replacer) enumerate(thr *atomicFloat) []*candidate {
+// enumeration order — truncated to enumLimit, into one exact-size slab
+// that ends with the given alternative placements.
+func (rp *replacer) enumerate(thr *atomicFloat, alts []*altPlacement) *slab {
 	n := rp.c.devN
-	shards := make([][]*candidate, n)
+	shards := make([]*shard, n)
 	pool.Each(n, func(first int) {
 		shards[first] = rp.runShard(first, thr)
 	})
-	var out []*candidate
-	for _, s := range shards {
-		out = append(out, s...)
-		if len(out) >= enumLimit {
-			out = out[:enumLimit]
-			break
-		}
+	total := 0
+	for _, sh := range shards {
+		total += len(sh.cands)
 	}
-	return out
+	total = min(total, enumLimit)
+	s := &slab{nUsed: len(rp.used), nLay: len(rp.base.InitialLayout)}
+	stride := s.nUsed + s.nLay
+	s.cands = make([]candidate, 0, total+len(alts))
+	s.arena = make([]uint8, 0, total*stride)
+	for _, sh := range shards {
+		m := min(len(sh.cands), total-len(s.cands))
+		base := int32(len(s.arena))
+		for _, cd := range sh.cands[:m] {
+			cd.off += base
+			s.cands = append(s.cands, cd)
+		}
+		s.arena = append(s.arena, sh.arena[:m*stride]...)
+	}
+	s.nMono = len(s.cands)
+	s.addAlts(alts, rp.c.devN)
+	return s
 }
 
-// materialize clones the base circuit under the candidate's relabeling
+// materialize clones the base circuit under placement i's relabeling
 // (or replays the dry routing pass for alternative placements).
-func (rp *replacer) materialize(cd *candidate) *Executable {
-	if cd.alt != nil {
-		return cd.alt.exe()
+func (rp *replacer) materialize(s *slab, i int32) *Executable {
+	cd := &s.cands[i]
+	if cd.alt >= 0 {
+		return s.alts[cd.alt].exe()
 	}
-	vm := identityExtend(rp.used, cd.mono, rp.c.devN)
+	enc := s.mono(i)
+	mono := make([]int, len(enc))
+	for j, q := range enc {
+		mono[j] = int(q)
+	}
+	vm := identityExtend(rp.used, mono, rp.c.devN)
 	return &Executable{
 		Circuit:       rp.base.Circuit.Remap(vm, rp.c.devN),
-		InitialLayout: cd.layout,
+		InitialLayout: s.layoutInts(i),
 		FinalLayout:   applyMap(rp.base.FinalLayout, vm),
 		ESP:           cd.esp,
 		Swaps:         rp.base.Swaps,
 	}
 }
 
-func candFromAlt(devN int, a *altPlacement) *candidate {
-	set := a.usedMask(devN)
-	return &candidate{
-		esp:    a.res.esp,
-		layout: a.layout,
-		lkey:   hashInts(a.layout),
-		set:    set,
-		skey:   maskHash(set),
-		alt:    a,
-	}
-}
-
-// sortCandidates stably orders by ESP descending, then initial layout
-// ascending.
-func sortCandidates(cs []*candidate) {
-	sort.SliceStable(cs, func(i, j int) bool {
-		if cs[i].esp != cs[j].esp {
-			return cs[i].esp > cs[j].esp
-		}
-		return lexLess(cs[i].layout, cs[j].layout)
-	})
+// sortCandidates stably orders slab indices by ESP descending, then
+// initial layout ascending.
+func sortCandidates(s *slab, idx []int32) {
+	slices.SortStableFunc(idx, s.compare)
 }
 
 // splitBySet partitions a sorted candidate list into the best placement
@@ -402,33 +534,97 @@ func sortCandidates(cs []*candidate) {
 // (dupes). Placements on *distinct physical qubit sets* come first in the
 // pool: permutations of one qubit subset have identical ESP but make
 // near-identical mistakes, which is exactly the correlation EDM exists to
-// avoid.
-func splitBySet(cs []*candidate) (distinct, dupes []*candidate) {
-	seen := make(map[uint64]bool, len(cs))
-	for _, cd := range cs {
-		if seen[cd.skey] {
-			dupes = append(dupes, cd)
+// avoid. distinct reuses idx's storage.
+func splitBySet(s *slab, idx []int32) (distinct, dupes []int32) {
+	seen := newKeyIndex(len(idx))
+	distinct = idx[:0]
+	for _, i := range idx {
+		if _, dup := seen.id(s.cands[i].skey); dup {
+			dupes = append(dupes, i)
 			continue
 		}
-		seen[cd.skey] = true
-		distinct = append(distinct, cd)
+		distinct = append(distinct, i)
 	}
 	return distinct, dupes
 }
 
 // dedupeByLayout removes candidates whose initial layouts coincide,
-// keeping the first (pool order is significance order).
-func dedupeByLayout(cs []*candidate) []*candidate {
-	seen := make(map[uint64]bool, len(cs))
-	out := cs[:0:0]
-	for _, cd := range cs {
-		if seen[cd.lkey] {
-			continue
+// keeping the first (pool order is significance order). It filters idx
+// in place.
+func dedupeByLayout(s *slab, idx []int32) []int32 {
+	seen := newKeyIndex(len(idx))
+	out := idx[:0]
+	for _, i := range idx {
+		if _, dup := seen.id(s.cands[i].lkey); !dup {
+			out = append(out, i)
 		}
-		seen[cd.lkey] = true
-		out = append(out, cd)
 	}
 	return out
+}
+
+// keyIndex numbers 64-bit keys densely (0, 1, 2, ... in first-insertion
+// order) in one open-addressed table with linear probing. Pool assembly
+// runs it over every placement's key; unlike a map, a pool-sized index is
+// one pair of allocations rather than one per internal table.
+type keyIndex struct {
+	keys  []uint64
+	ids   []int32 // id+1 per slot; 0 marks an empty slot
+	shift uint
+	n     int
+}
+
+// newKeyIndex sizes the table for n keys at a load factor of at most 1/2.
+func newKeyIndex(n int) *keyIndex {
+	size, shift := 16, uint(60)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	return &keyIndex{keys: make([]uint64, size), ids: make([]int32, size), shift: shift}
+}
+
+// slot returns k's slot, or the empty slot where it would go.
+func (x *keyIndex) slot(k uint64) int {
+	mask := len(x.keys) - 1
+	i := int((k * 0x9e3779b97f4a7c15) >> x.shift)
+	for x.ids[i] != 0 && x.keys[i] != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// id returns k's dense id, assigning the next one if k is new, and
+// whether k was already present. At most the n keys the index was sized
+// for may be added.
+func (x *keyIndex) id(k uint64) (int32, bool) {
+	i := x.slot(k)
+	if x.ids[i] != 0 {
+		return x.ids[i] - 1, true
+	}
+	x.keys[i], x.ids[i] = k, int32(x.n)+1
+	x.n++
+	return int32(x.n - 1), false
+}
+
+// has reports whether k was added.
+func (x *keyIndex) has(k uint64) bool { return x.ids[x.slot(k)] != 0 }
+
+func (x *keyIndex) bytes() int64 { return 12 * int64(len(x.keys)) }
+
+// rankPool turns an enumerated slab into the ranked pool: sort the mono
+// placements, put the best placement per qubit set first, append the
+// alternative placements, drop repeated layouts and sort again.
+func rankPool(s *slab) []int32 {
+	idx := s.monoOrder()
+	sortCandidates(s, idx)
+	distinct, dupes := splitBySet(s, idx)
+	cpool := make([]int32, 0, len(s.cands))
+	cpool = append(append(cpool, distinct...), dupes...)
+	for i := s.nMono; i < len(s.cands); i++ {
+		cpool = append(cpool, int32(i))
+	}
+	cpool = dedupeByLayout(s, cpool)
+	sortCandidates(s, cpool)
+	return cpool
 }
 
 // TopK builds the ensemble of diverse mappings (paper Section 5.2).
@@ -506,29 +702,27 @@ func (c *Compiler) buildPool(logical *circuit.Circuit) *poolEntry {
 	}
 	base := c.replay(prog, baseLayout, baseRes)
 	rp := c.newReplacer(base)
-	cands := rp.enumerate(nil)
-	if len(cands) == 0 {
-		return &poolEntry{err: fmt.Errorf("mapper: no isomorphic placement found (internal error: the base placement itself should match)")}
+	// The alternative sweep runs first so the slab is allocated once at
+	// its final size; an empty enumeration still takes precedence over a
+	// failed sweep, as when the sweep ran second.
+	alts, _, altErr := c.alternativePlacements(prog)
+	s := rp.enumerate(nil, alts)
+	if s.nMono == 0 {
+		return &poolEntry{err: errNoPlacement}
 	}
-	raw := append([]*candidate(nil), cands...)
-	sortCandidates(cands)
-	distinct, dupes := splitBySet(cands)
-	cpool := append(distinct, dupes...)
-	alts, _, err := c.alternativePlacements(prog)
-	if err != nil {
-		return &poolEntry{err: err}
+	if altErr != nil {
+		return &poolEntry{err: altErr}
 	}
-	for _, a := range alts {
-		cpool = append(cpool, candFromAlt(c.devN, a))
-	}
-	cpool = dedupeByLayout(cpool)
-	sortCandidates(cpool)
 	return &poolEntry{
-		rp: rp, cpool: cpool, raw: raw, prog: prog,
+		rp: rp, slab: s, cpool: rankPool(s), prog: prog,
 		seed: seed, baseLayout: baseLayout, baseRes: baseRes,
-		exes: make(map[*candidate]*Executable),
+		exes: make(map[int32]*Executable),
 	}
 }
+
+// errNoPlacement reports an empty isomorphic enumeration, which the base
+// placement itself should always prevent.
+var errNoPlacement = errors.New("mapper: no isomorphic placement found (internal error: the base placement itself should match)")
 
 // buildSingleBest is TopK for k = 1, the per-round baseline policy and
 // the hottest compile path in the experiment campaign. Selecting one
@@ -555,22 +749,15 @@ func (c *Compiler) buildSingleBest(logical *circuit.Circuit) ([]*Executable, err
 		thr.raise(a.res.esp)
 	}
 	rp := c.newReplacer(base)
-	cands := rp.enumerate(&thr)
-	sortCandidates(cands)
-	distinct, dupes := splitBySet(cands)
-	cpool := append(distinct, dupes...)
-	for _, a := range alts {
-		cpool = append(cpool, candFromAlt(c.devN, a))
-	}
+	s := rp.enumerate(&thr, alts)
+	cpool := rankPool(s)
 	if len(cpool) == 0 {
-		return nil, fmt.Errorf("mapper: no isomorphic placement found (internal error: the base placement itself should match)")
+		return nil, errNoPlacement
 	}
-	cpool = dedupeByLayout(cpool)
-	sortCandidates(cpool)
-	sel := selectDiverse(cpool, 1)
+	sel := selectDiverse(s, cpool, 1)
 	out := make([]*Executable, len(sel))
-	for i, cd := range sel {
-		out[i] = rp.materialize(cd)
+	for i, ci := range sel {
+		out[i] = rp.materialize(s, ci)
 	}
 	return out, nil
 }
@@ -585,18 +772,19 @@ func (c *Compiler) Placements(logical *circuit.Circuit, max int) ([]*Executable,
 		return nil, err
 	}
 	rp := c.newReplacer(base)
-	cands := rp.enumerate(nil)
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("mapper: no isomorphic placement found (internal error: the base placement itself should match)")
+	s := rp.enumerate(nil, nil)
+	if s.nMono == 0 {
+		return nil, errNoPlacement
 	}
-	sortCandidates(cands)
-	distinct, _ := splitBySet(cands)
+	idx := s.monoOrder()
+	sortCandidates(s, idx)
+	distinct, _ := splitBySet(s, idx)
 	if max > 0 && max < len(distinct) {
 		distinct = distinct[:max]
 	}
 	out := make([]*Executable, len(distinct))
-	for i, cd := range distinct {
-		out[i] = rp.materialize(cd)
+	for i, ci := range distinct {
+		out[i] = rp.materialize(s, ci)
 	}
 	return out, nil
 }
@@ -694,32 +882,33 @@ func (c *Compiler) alternativePlacements(prog *routeProg) ([]*altPlacement, int,
 // widens — mirroring Section 5.5's observation that the number of strong
 // diverse placements on a small machine is inherently limited. The
 // pool's best candidate is always member 0.
-func selectDiverse(cpool []*candidate, k int) []*candidate {
+func selectDiverse(s *slab, cpool []int32, k int) []int32 {
 	if len(cpool) == 0 {
 		return nil
 	}
-	footprint := cpool[0].set.Count()
-	bestESP := cpool[0].esp
+	best := &s.cands[cpool[0]]
+	footprint := best.set.Count()
 	for _, slack := range []float64{0.15, 0.3, 0.5, 1.0} {
-		minESP := bestESP * (1 - slack)
+		minESP := best.esp * (1 - slack)
 		for maxShared := footprint / 2; maxShared <= footprint; maxShared++ {
-			picked := []*candidate{cpool[0]}
-			for _, cand := range cpool[1:] {
+			picked := []int32{cpool[0]}
+			for _, ci := range cpool[1:] {
 				if len(picked) == k {
 					break
 				}
+				cand := &s.cands[ci]
 				if cand.esp < minESP {
 					continue
 				}
 				ok := true
 				for _, p := range picked {
-					if cand.set.Overlap(p.set) > maxShared {
+					if cand.set.Overlap(s.cands[p].set) > maxShared {
 						ok = false
 						break
 					}
 				}
 				if ok {
-					picked = append(picked, cand)
+					picked = append(picked, ci)
 				}
 			}
 			if len(picked) == k {
@@ -730,7 +919,7 @@ func selectDiverse(cpool []*candidate, k int) []*candidate {
 			}
 		}
 	}
-	return []*candidate{cpool[0]}
+	return []int32{cpool[0]}
 }
 
 // usageGraph returns the compacted graph of couplings the executable's
@@ -754,17 +943,22 @@ func usageGraph(exe *Executable) (*graph.Graph, []int) {
 // identityExtend builds a full device-sized vertex map sending used[i] to
 // mono[i] and filling the remaining physical qubits injectively.
 func identityExtend(used []int, mono []int, devN int) []int {
-	out := make([]int, devN)
-	taken := make([]bool, devN)
+	return identityExtendInto(make([]int, devN), make([]bool, devN), used, mono)
+}
+
+// identityExtendInto is identityExtend into caller-owned device-sized
+// buffers; it returns out.
+func identityExtendInto(out []int, taken []bool, used, mono []int) []int {
 	for i := range out {
 		out[i] = -1
+		taken[i] = false
 	}
 	for i, q := range used {
 		out[q] = mono[i]
 		taken[mono[i]] = true
 	}
 	free := 0
-	for q := 0; q < devN; q++ {
+	for q := range out {
 		if out[q] != -1 {
 			continue
 		}
@@ -787,13 +981,4 @@ func applyMap(layout, vertexMap []int) []int {
 		}
 	}
 	return out
-}
-
-func lexLess(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
 }

@@ -16,7 +16,8 @@ import (
 // ESP computed from the per-gate tables for a relabeled placement must be
 // bit-identical to materializing the circuit and running device.ESP on
 // it, because candidate ranking and tie-breaking compare these floats
-// exactly.
+// exactly. The slab's byte-encoded layout must decode to the
+// materialized layout, and its key must hash the same integers.
 func TestScorerMatchesDeviceESP(t *testing.T) {
 	cal := device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(11))
 	comp := NewCompiler(cal)
@@ -30,21 +31,21 @@ func TestScorerMatchesDeviceESP(t *testing.T) {
 			t.Fatal(err)
 		}
 		rp := comp.newReplacer(base)
-		cands := rp.enumerate(nil)
-		if len(cands) == 0 {
+		s := rp.enumerate(nil, nil)
+		if s.nMono == 0 {
 			t.Fatalf("%s: no candidates", name)
 		}
-		if len(cands) > 200 {
-			cands = cands[:200]
-		}
-		for i, cd := range cands {
-			exe := rp.materialize(cd)
+		for i := int32(0); i < int32(min(s.nMono, 200)); i++ {
+			exe := rp.materialize(s, i)
 			got := device.MustESP(exe.Circuit, cal)
-			if got != cd.esp {
-				t.Fatalf("%s: candidate %d scorer ESP %v != device.ESP %v", name, i, cd.esp, got)
+			if esp := s.cands[i].esp; got != esp {
+				t.Fatalf("%s: candidate %d scorer ESP %v != device.ESP %v", name, i, esp, got)
 			}
-			if !reflect.DeepEqual(exe.InitialLayout, cd.layout) {
+			if !reflect.DeepEqual(exe.InitialLayout, s.layoutInts(i)) {
 				t.Fatalf("%s: candidate %d layout mismatch", name, i)
+			}
+			if s.cands[i].lkey != hashInts(exe.InitialLayout) {
+				t.Fatalf("%s: candidate %d layout key is not hashInts of its layout", name, i)
 			}
 		}
 	}

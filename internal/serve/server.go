@@ -183,6 +183,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("compile_pool_hits_total", m.Pools.Hits)
 	put("compile_pool_misses_total", m.Pools.Misses)
 	put("compile_pool_waits_total", m.Pools.Waits)
+	put("compile_pool_evictions_total", m.Pools.Evictions)
+	put("compile_pool_entries", uint64(m.Pools.Entries))
+	put("compile_pool_candidates", uint64(m.PoolCands))
+	put("compile_pool_bytes", uint64(m.PoolBytes))
 	put("run_cache_hits_total", m.Runs.Hits)
 	put("run_cache_misses_total", m.Runs.Misses)
 	put("recompile_pools_total", m.Recompile.Pools)

@@ -140,12 +140,18 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 	}
 	// The job built prefix plans on this window's machine: the plan
 	// counters are process-wide, the plan-bytes gauge is the machine's.
+	// It also built one compile pool, whose placements and bytes the pool
+	// gauges report.
 	metrics := getMetrics(t, ts.URL)
 	for _, pat := range []string{
 		`(?m)^edmd_engine_plans_built_total [1-9][0-9]*$`,
 		`(?m)^edmd_engine_plan_fallbacks_total 0$`,
 		`(?m)^edmd_engine_plan_paths_total [1-9][0-9]*$`,
 		`(?m)^edmd_backend_plan_bytes [1-9][0-9]*$`,
+		`(?m)^edmd_compile_pool_entries 1$`,
+		`(?m)^edmd_compile_pool_evictions_total 0$`,
+		`(?m)^edmd_compile_pool_candidates [1-9][0-9]*$`,
+		`(?m)^edmd_compile_pool_bytes [1-9][0-9]*$`,
 	} {
 		if !regexp.MustCompile(pat).MatchString(metrics) {
 			t.Errorf("metrics missing %s:\n%s", pat, metrics)

@@ -270,6 +270,8 @@ func (s *Service) execute(spec *JobSpec, circ *circuit.Circuit, fp uint64) *jobO
 // routing, prefix plans); in the single-service edmd process it reflects
 // this service's machines. Programs is the current window's machine:
 // its compiled-program cache and the live bytes of its prefix plans.
+// PoolCandidates and PoolBytes are the placements the compile-pool cache
+// holds and the bytes they occupy (mapper.Tracking.PoolFootprint).
 type Metrics struct {
 	Window    int                   `json:"window"`
 	Device    string                `json:"device"`
@@ -277,6 +279,8 @@ type Metrics struct {
 	Tier      memo.Stats            `json:"tier"`
 	TierShard []memo.Stats          `json:"tier_shards,omitempty"`
 	Pools     memo.Stats            `json:"compile_pools"`
+	PoolCands int                   `json:"compile_pool_candidates"`
+	PoolBytes int64                 `json:"compile_pool_bytes"`
 	Recompile mapper.RecompileStats `json:"recompile"`
 	Runs      memo.Stats            `json:"runs"`
 	Programs  backend.CacheStats    `json:"programs"`
@@ -288,6 +292,7 @@ func (s *Service) Snapshot(withShards bool) Metrics {
 	s.mu.RLock()
 	window := s.window
 	pools := s.track.PoolStats()
+	poolCands, poolBytes := s.track.PoolFootprint()
 	rec := s.track.Stats()
 	runs := s.mach.RunCacheStats()
 	progs := s.mach.CacheStats()
@@ -298,6 +303,8 @@ func (s *Service) Snapshot(withShards bool) Metrics {
 		Admission: s.adm.Stats(),
 		Tier:      s.tier.Stats(),
 		Pools:     pools,
+		PoolCands: poolCands,
+		PoolBytes: poolBytes,
 		Recompile: rec,
 		Runs:      runs,
 		Programs:  progs,

@@ -117,14 +117,18 @@ wait "$EDMD_PID" || { echo "wide edmd exited nonzero on SIGTERM" >&2; exit 1; }
 EDMD_PID=""
 echo "wide-device smoke OK"
 
-echo "== incremental recompilation identity (DESIGN.md §11) =="
+echo "== incremental recompilation identity (DESIGN.md §9, §11) =="
 # The drift-tracked pools must be bit-identical to full recompilation at
 # any GOMAXPROCS: serial pins the GOMAXPROCS=1 end, the full-width pass
 # runs under the race detector because pool upgrades re-score candidates
 # in parallel and transfer materialized executables across generations.
-GOMAXPROCS=1 go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|Diff|DriftLocal' \
+# TopKGoldenDigest pins TopK's members to a digest recorded before the
+# pools moved to one value slab per pool; PoolFootprint pins that slab's
+# value size and per-shard (not per-placement) allocation.
+RECOMPILE_TESTS='Tracking|DriftCampaign|GetGen|Diff|DriftLocal|TopKGoldenDigest|PoolFootprint'
+GOMAXPROCS=1 go test -race -count=1 -run "$RECOMPILE_TESTS" \
 	./internal/mapper ./internal/experiment ./internal/memo ./internal/device
-go test -race -count=1 -run 'Tracking|DriftCampaign|GetGen|Diff|DriftLocal' \
+go test -race -count=1 -run "$RECOMPILE_TESTS" \
 	./internal/mapper ./internal/experiment ./internal/memo ./internal/device
 
 echo "== trajectory engine identity (DESIGN.md §10, §15) =="
