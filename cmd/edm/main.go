@@ -207,8 +207,8 @@ func printCacheStats(out *os.File) {
 		"compiler", comp.Hits, comp.Misses, comp.Waits, comp.Evictions, comp.Entries)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %-4d candidates %d pool-bytes %d\n",
 		"topk", topk.Hits, topk.Misses, topk.Waits, topk.Evictions, topk.Entries, poolCands, poolBytes)
-	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %-4d plan-bytes %d\n",
-		"backend/prog", prog.Hits, prog.Misses, prog.Waits, prog.Evictions, prog.Entries, prog.PlanBytes)
+	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %-4d plan-bytes %d program-bytes %d\n",
+		"backend/prog", prog.Hits, prog.Misses, prog.Waits, prog.Evictions, prog.Entries, prog.PlanBytes, prog.ProgramBytes)
 	fmt.Fprintf(out, "  %-14s hits %-8d misses %-6d waits %-4d evictions %-4d entries %d\n",
 		"backend/run", run.Hits, run.Misses, run.Waits, run.Evictions, run.Entries)
 	printRecompileStats(out)
@@ -232,14 +232,12 @@ func printRecompileStats(out *os.File) {
 }
 
 // printEngineStats reports the tape-tree trajectory engine counters
-// (DESIGN.md §10). A nonzero fallback count means some compiled program
-// had a Kraus shape the threshold tape cannot model and ran on the
-// legacy loop — silent but slow, so -cachestats makes it visible.
+// (DESIGN.md §10).
 func printEngineStats(out *os.File) {
 	es := backend.EngineStatsSnapshot()
 	fmt.Fprintln(out, "trajectory engine stats:")
-	fmt.Fprintf(out, "  %-14s plans %-8d fallbacks %-4d paths %d\n",
-		"tape-tree", es.PlansBuilt, es.PlanFallbacks, es.PlanPaths)
+	fmt.Fprintf(out, "  %-14s plans %-8d paths %d\n",
+		"tape-tree", es.PlansBuilt, es.PlanPaths)
 	fmt.Fprintf(out, "  %-14s dominant %-6d divergent %d\n",
 		"trials", es.FullDominantTrials, es.DivergentTrials)
 	meanBatch := 0.0
@@ -250,10 +248,6 @@ func printEngineStats(out *os.File) {
 		"batched", es.BatchBuckets, es.BatchUnits, meanBatch, es.BatchLaneClones, es.BatchDeferredTrials, es.UnitSteals)
 	fmt.Fprintf(out, "  %-14s programs %-5d fallbacks %-4d prefix-steps %-6d max-words %-3d trials %d\n",
 		"stabilizer", es.StabPrograms, es.StabFallbacks, es.StabPrefixSteps, es.StabMaxWords, es.StabTrials)
-	if es.PlanFallbacks > 0 {
-		fmt.Fprintf(out, "  warning: %d program(s) fell back to the legacy trajectory loop\n",
-			es.PlanFallbacks)
-	}
 }
 
 type exp struct {

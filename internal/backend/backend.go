@@ -23,9 +23,11 @@ package backend
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"edm/internal/bitstr"
 	"edm/internal/circuit"
@@ -66,7 +68,7 @@ func New(cal *device.Calibration) *Machine {
 func (m *Machine) Calibration() *device.Calibration { return m.cal }
 
 // stepKind discriminates compiled schedule steps.
-type stepKind int
+type stepKind uint8
 
 const (
 	stepU1      stepKind = iota // deterministic one-qubit unitary
@@ -89,21 +91,49 @@ const (
 	matPerm                    // 2Q permutation-with-phases (CX-like)
 )
 
-// step is one schedule entry; qubit indices are *local* (compacted).
+// step is one schedule entry, 32 bytes; qubit indices are *local*
+// (compacted). A step holds no matrix of its own: idx selects the entry
+// of the program side table its kind and class name —
+//
+//	stepU1                  m2s[idx]
+//	stepU2, matGeneral      m4s[idx]
+//	stepU2, matDiag         d4s[idx]
+//	stepU2, matPerm         perms[idx]
+//	stepDamp                damps[idx]
+//
+// so each unitary stores only the form its trial kernel reads, and the
+// stochastic steps (most of a schedule) carry no matrix at all.
 type step struct {
+	p     float64 // depolarizing probability for stepPauli*
+	q0    int32
+	q1    int32
+	cbit  int32
+	idx   int32
 	kind  stepKind
 	class matClass
-	m2    circuit.Matrix2
-	m4    circuit.Matrix4
-	d4    [4]complex128 // diagonal of m4 when kind==stepU2 and class==matDiag
-	perm  statevec.Perm4
-	q0    int
-	q1    int
-	p     float64 // depolarizing probability for stepPauli*
-	ampK  []circuit.Matrix2
-	phK   []circuit.Matrix2
-	cbit  int
-	phys  int // physical qubit, for readout handling of measurements
+}
+
+// dampKraus is one damping channel: the amplitude- and phase-damping
+// Kraus pairs of one (gA, gP) window, each present only when its
+// probability is nonzero. A program interns them by the exact bits of
+// (gA, gP), because the same qubit x duration pair recurs all through a
+// schedule.
+type dampKraus struct {
+	amp, ph       [2]circuit.Matrix2
+	hasAmp, hasPh bool
+}
+
+// channels returns the Kraus pairs in application order (amplitude,
+// then phase), nil for an absent channel. The slices alias k.
+func (k *dampKraus) channels() [2][]circuit.Matrix2 {
+	var ch [2][]circuit.Matrix2
+	if k.hasAmp {
+		ch[0] = k.amp[:]
+	}
+	if k.hasPh {
+		ch[1] = k.ph[:]
+	}
+	return ch
 }
 
 // program is a compiled, noise-annotated schedule for one executable.
@@ -112,6 +142,14 @@ type program struct {
 	numClbits int
 	steps     []step
 	measPhys  []int // classical bit -> physical qubit (-1 if unwritten)
+
+	// Side tables of the schedule, indexed by step.idx (see step).
+	// Immutable once the program is fused.
+	m2s   []circuit.Matrix2
+	m4s   []circuit.Matrix4
+	d4s   [][4]complex128
+	perms []statevec.Perm4
+	damps []dampKraus
 
 	// prefix is the tape tree of the prefix-sharing engine (prefix.go):
 	// its spine is built at most once per compiled program on first use,
@@ -124,6 +162,52 @@ type program struct {
 	// built at most once per compiled program on first use.
 	stabOnce sync.Once
 	stab     *stabAnalysis
+}
+
+// bytes returns the memory the program's schedule retains: the step
+// records, their side tables and the readout map, by capacity.
+func (p *program) bytes() int64 {
+	return int64(cap(p.steps))*int64(unsafe.Sizeof(step{})) +
+		int64(cap(p.m2s))*int64(unsafe.Sizeof(circuit.Matrix2{})) +
+		int64(cap(p.m4s))*int64(unsafe.Sizeof(circuit.Matrix4{})) +
+		int64(cap(p.d4s))*int64(unsafe.Sizeof([4]complex128{})) +
+		int64(cap(p.perms))*int64(unsafe.Sizeof(statevec.Perm4{})) +
+		int64(cap(p.damps))*int64(unsafe.Sizeof(dampKraus{})) +
+		int64(cap(p.measPhys))*int64(unsafe.Sizeof(int(0)))
+}
+
+// matrix4 returns the dense form of a two-qubit unitary step, rebuilt
+// from its compact form for the diagonal and permutation classes. Only
+// the readers without a compact kernel use it: the density engine's
+// dense path and the stabilizer recognizer.
+func (p *program) matrix4(st *step) circuit.Matrix4 {
+	var m circuit.Matrix4
+	switch st.class {
+	case matDiag:
+		for r, v := range p.d4s[st.idx] {
+			m[r][r] = v
+		}
+	case matPerm:
+		pm := &p.perms[st.idx]
+		for r := range pm.Src {
+			m[r][pm.Src[r]] = pm.Coef[r]
+		}
+	default:
+		m = p.m4s[st.idx]
+	}
+	return m
+}
+
+// addU1 appends a one-qubit unitary step and its matrix.
+func (p *program) addU1(m circuit.Matrix2, q int) {
+	p.steps = append(p.steps, step{kind: stepU1, q0: int32(q), idx: int32(len(p.m2s))})
+	p.m2s = append(p.m2s, m)
+}
+
+// addU2 appends a dense two-qubit unitary step and its matrix.
+func (p *program) addU2(m circuit.Matrix4, q0, q1 int) {
+	p.steps = append(p.steps, step{kind: stepU2, q0: int32(q0), q1: int32(q1), idx: int32(len(p.m4s))})
+	p.m4s = append(p.m4s, m)
 }
 
 // compile lowers the executable onto the machine: SWAPs become CX
@@ -156,6 +240,7 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 	}
 
 	p := &program{nLocal: len(active), numClbits: lowered.NumClbits}
+	dampIDs := make(map[[2]uint64]int32)
 	p.measPhys = make([]int, lowered.NumClbits)
 	for i := range p.measPhys {
 		p.measPhys[i] = -1
@@ -170,11 +255,11 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 		if dt <= 0 {
 			return
 		}
-		p.addDamp(cal, local[q], q, dt)
+		p.addDamp(cal, dampIDs, local[q], q, dt)
 		// Idle coherent phase drift, scaled by elapsed time.
 		if cal.CohZ[q] != 0 {
 			angle := cal.CohZ[q] * dt / cal.Gate1QTimeNs
-			p.steps = append(p.steps, step{kind: stepU1, m2: noise.RZMatrix(angle), q0: local[q]})
+			p.addU1(noise.RZMatrix(angle), local[q])
 		}
 		clock[q] = until
 	}
@@ -218,9 +303,9 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 			}
 			idleTo(q, maxT)
 			// Decoherence during the measurement window itself.
-			p.addDamp(cal, local[q], q, cal.MeasTimeNs)
+			p.addDamp(cal, dampIDs, local[q], q, cal.MeasTimeNs)
 			clock[q] += cal.MeasTimeNs
-			p.steps = append(p.steps, step{kind: stepMeasure, q0: local[q], cbit: op.Cbit, phys: q})
+			p.steps = append(p.steps, step{kind: stepMeasure, q0: int32(local[q]), cbit: int32(op.Cbit)})
 			p.measPhys[op.Cbit] = q
 			measured[q] = true
 
@@ -244,9 +329,9 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 			m4 := circuit.Matrix2Q(op.Kind)
 			m4 = noise.Mul4(noise.ZZMatrix(cal.CXCohZZ[e]), m4)
 			m4 = noise.Mul4(noise.Kron(noise.RYMatrix(cal.CohY[a]), noise.RYMatrix(cal.CohY[b])), m4)
-			p.steps = append(p.steps, step{kind: stepU2, m4: m4, q0: local[a], q1: local[b]})
+			p.addU2(m4, local[a], local[b])
 			if cal.CXErr[e] > 0 {
-				p.steps = append(p.steps, step{kind: stepPauli2, p: cal.CXErr[e], q0: local[a], q1: local[b]})
+				p.steps = append(p.steps, step{kind: stepPauli2, p: cal.CXErr[e], q0: int32(local[a]), q1: int32(local[b])})
 			}
 			// Crosstalk: every coupling adjacent to the firing link gets a
 			// ZZ kick. Active spectators get the full two-qubit unitary;
@@ -263,14 +348,14 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 						continue
 					}
 					if activeSet[c] {
-						p.steps = append(p.steps, step{kind: stepU2, m4: noise.ZZMatrix(theta), q0: local[x], q1: local[c]})
+						p.addU2(noise.ZZMatrix(theta), local[x], local[c])
 					} else {
-						p.steps = append(p.steps, step{kind: stepU1, m2: noise.RZMatrix(2 * theta), q0: local[x]})
+						p.addU1(noise.RZMatrix(2*theta), local[x])
 					}
 				}
 			}
-			p.addDamp(cal, local[a], a, cal.Gate2QTimeNs)
-			p.addDamp(cal, local[b], b, cal.Gate2QTimeNs)
+			p.addDamp(cal, dampIDs, local[a], a, cal.Gate2QTimeNs)
+			p.addDamp(cal, dampIDs, local[b], b, cal.Gate2QTimeNs)
 			clock[a] = start + cal.Gate2QTimeNs
 			clock[b] = start + cal.Gate2QTimeNs
 
@@ -283,11 +368,11 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 			if op.Kind != circuit.I && cal.CohY[q] != 0 {
 				m2 = noise.RYMatrix(cal.CohY[q]).Mul(m2)
 			}
-			p.steps = append(p.steps, step{kind: stepU1, m2: m2, q0: local[q]})
+			p.addU1(m2, local[q])
 			if op.Kind != circuit.I && cal.SQErr[q] > 0 {
-				p.steps = append(p.steps, step{kind: stepPauli1, p: cal.SQErr[q], q0: local[q]})
+				p.steps = append(p.steps, step{kind: stepPauli1, p: cal.SQErr[q], q0: int32(local[q])})
 			}
-			p.addDamp(cal, local[q], q, cal.Gate1QTimeNs)
+			p.addDamp(cal, dampIDs, local[q], q, cal.Gate1QTimeNs)
 			clock[q] += cal.Gate1QTimeNs
 		}
 	}
@@ -295,20 +380,31 @@ func (m *Machine) compile(exe *circuit.Circuit) (*program, error) {
 }
 
 // addDamp appends a damping step for physical qubit q over dt nanoseconds
-// (T1/T2 are in microseconds) unless it would be a no-op.
-func (p *program) addDamp(cal *device.Calibration, lq, q int, dt float64) {
+// (T1/T2 are in microseconds) unless it would be a no-op. Its Kraus
+// pairs are interned in p.damps through ids, keyed by the exact bits of
+// the damping probabilities.
+func (p *program) addDamp(cal *device.Calibration, ids map[[2]uint64]int32, lq, q int, dt float64) {
 	gA, gP := noise.DampingParams(dt, cal.T1us[q]*1000, cal.T2us[q]*1000)
 	if gA == 0 && gP == 0 {
 		return
 	}
-	s := step{kind: stepDamp, q0: lq}
-	if gA > 0 {
-		s.ampK = noise.AmplitudeDampingKraus(gA)
+	key := [2]uint64{math.Float64bits(gA), math.Float64bits(gP)}
+	id, ok := ids[key]
+	if !ok {
+		var k dampKraus
+		if gA > 0 {
+			k.hasAmp = true
+			copy(k.amp[:], noise.AmplitudeDampingKraus(gA))
+		}
+		if gP > 0 {
+			k.hasPh = true
+			copy(k.ph[:], noise.PhaseDampingKraus(gP))
+		}
+		id = int32(len(p.damps))
+		ids[key] = id
+		p.damps = append(p.damps, k)
 	}
-	if gP > 0 {
-		s.phK = noise.PhaseDampingKraus(gP)
-	}
-	p.steps = append(p.steps, s)
+	p.steps = append(p.steps, step{kind: stepDamp, q0: int32(lq), idx: id})
 }
 
 // parallelThreshold is the trial count above which Run fans trials out
@@ -354,16 +450,13 @@ func (m *Machine) runFresh(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.
 
 // runProgram executes a compiled program for the given number of trials:
 // on the tableau when sp is non-nil, otherwise through the batched
-// tape-tree engine (sched.go), or the legacy loop for a program the tape
-// cannot model. A non-nil cancel flag makes the trial loops stop early
-// once it flips true (the RunCtx path); the partial histogram is then
-// discarded by the caller, so the flag never affects a result that is
-// actually returned.
+// tape-tree engine (sched.go). A non-nil cancel flag makes the trial
+// loops stop early once it flips true (the RunCtx path); the partial
+// histogram is then discarded by the caller, so the flag never affects a
+// result that is actually returned.
 func (m *Machine) runProgram(prog *program, sp *stabPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
 	if sp == nil {
-		if plan := prog.plan(); plan != nil {
-			return m.runBatched(prog, plan, trials, r, cancel)
-		}
+		return m.runBatched(prog, prog.plan(), trials, r, cancel)
 	}
 	return m.runStriped(prog, sp, trials, r, cancel)
 }
@@ -379,7 +472,8 @@ func trialWorkers(trials int) int {
 
 // runStriped fans trials out in static stripes — worker w owns trials
 // w, w+W, w+2W, ... — on the tableau when sp is non-nil, otherwise
-// through the legacy trajectory loop. Each stripe fills a private
+// through the legacy trajectory loop (the oracle the byte-identity tests
+// compare the tape-tree engine against). Each stripe fills a private
 // histogram; merging integer counts is commutative, so the result is
 // bit-identical to the serial path.
 func (m *Machine) runStriped(prog *program, sp *stabPlan, trials int, r *rng.RNG, cancel *atomic.Bool) *dist.Counts {
@@ -438,9 +532,8 @@ func (m *Machine) RunDist(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.D
 // trajectory loop: every step applied live, every stochastic branch
 // drawn from r, then readout. s is a statevector of prog.nLocal qubits
 // and trueBits scratch of size numClbits; both are reset here so
-// callers reuse one allocation across trials. It is the fallback for
-// programs without a prefix plan and the oracle the tape-tree engine is
-// byte-identical to.
+// callers reuse one allocation across trials. It is the oracle the
+// tape-tree engine is byte-identical to.
 func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int, r *rng.RNG) bitstr.BitString {
 	s.Reset()
 	for i := range trueBits {
@@ -448,59 +541,63 @@ func (m *Machine) runTrajectory(prog *program, s *statevec.State, trueBits []int
 	}
 	for i := range prog.steps {
 		st := &prog.steps[i]
+		q0 := int(st.q0)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStep(s, st)
+			applyUnitaryStep(s, prog, st)
 		case stepPauli1:
 			if k := noise.SamplePauli1Q(st.p, r); k != 0 {
-				s.Apply1Q(noise.Pauli1Q[k], st.q0)
+				s.Apply1Q(noise.Pauli1Q[k], q0)
 			}
 		case stepPauli2:
 			ka, kb := noise.SamplePauli2Q(st.p, r)
 			if ka != 0 {
-				s.Apply1Q(noise.Pauli1Q[ka], st.q0)
+				s.Apply1Q(noise.Pauli1Q[ka], q0)
 			}
 			if kb != 0 {
-				s.Apply1Q(noise.Pauli1Q[kb], st.q1)
+				s.Apply1Q(noise.Pauli1Q[kb], int(st.q1))
 			}
 		case stepDamp:
-			if st.ampK != nil {
-				s.ApplyKraus1Q(st.ampK, st.q0, r)
+			k := &prog.damps[st.idx]
+			if k.hasAmp {
+				s.ApplyKraus1Q(k.amp[:], q0, r)
 			}
-			if st.phK != nil {
-				s.ApplyKraus1Q(st.phK, st.q0, r)
+			if k.hasPh {
+				s.ApplyKraus1Q(k.ph[:], q0, r)
 			}
 		case stepMeasure:
-			trueBits[st.cbit] = s.MeasureQubit(st.q0, r)
+			trueBits[st.cbit] = s.MeasureQubit(q0, r)
 		}
 	}
 	return m.applyReadout(prog, trueBits, r)
 }
 
-// applyUnitaryStep dispatches a deterministic unitary step to its fused
-// kernel class. It is shared by the legacy trial loop and the tape-tree
-// builders (spine and exit replay), so they evolve states through
-// identical kernels; the batched replay applies the same classes through
-// applyUnitaryStepBatch.
-func applyUnitaryStep(s *statevec.State, st *step) {
+// applyUnitaryStep dispatches a deterministic unitary step of prog to
+// its fused kernel class. It is shared by the legacy trial loop and the
+// tape-tree builders (spine and exit replay), so they evolve states
+// through identical kernels; the batched replay applies the same classes
+// through applyUnitaryStepBatch.
+func applyUnitaryStep(s *statevec.State, prog *program, st *step) {
+	q0, q1 := int(st.q0), int(st.q1)
 	switch st.kind {
 	case stepU1:
+		m := &prog.m2s[st.idx]
 		switch st.class {
 		case matDiag:
-			s.Apply1QDiag(st.m2[0][0], st.m2[1][1], st.q0)
+			s.Apply1QDiag(m[0][0], m[1][1], q0)
 		case matAnti:
-			s.Apply1QAntiDiag(st.m2[0][1], st.m2[1][0], st.q0)
+			s.Apply1QAntiDiag(m[0][1], m[1][0], q0)
 		default:
-			s.Apply1Q(st.m2, st.q0)
+			s.Apply1Q(*m, q0)
 		}
 	case stepU2:
 		switch st.class {
 		case matDiag:
-			s.Apply2QDiag(st.d4, st.q0, st.q1)
+			s.Apply2QDiag(prog.d4s[st.idx], q0, q1)
 		case matPerm:
-			s.Apply2QPerm(st.perm, st.q0, st.q1)
+			s.Apply2QPerm(prog.perms[st.idx], q0, q1)
 		default:
-			s.Apply2Q(st.m4, st.q0, st.q1)
+			s.Apply2Q(prog.m4s[st.idx], q0, q1)
 		}
 	}
 }
@@ -564,32 +661,35 @@ func (m *Machine) exactFromProgram(prog *program) (*dist.Dist, error) {
 	}
 	for i := range prog.steps {
 		st := &prog.steps[i]
+		q0, q1 := int(st.q0), int(st.q1)
 		switch st.kind {
 		case stepU1:
+			m := &prog.m2s[st.idx]
 			if st.class == matDiag {
-				rho.Apply1QDiag(st.m2[0][0], st.m2[1][1], st.q0)
+				rho.Apply1QDiag(m[0][0], m[1][1], q0)
 			} else {
-				rho.Apply1Q(st.m2, st.q0)
+				rho.Apply1Q(*m, q0)
 			}
 		case stepU2:
 			if st.class == matDiag {
-				rho.Apply2QDiag(st.d4, st.q0, st.q1)
+				rho.Apply2QDiag(prog.d4s[st.idx], q0, q1)
 			} else {
-				rho.Apply2Q(st.m4, st.q0, st.q1)
+				rho.Apply2Q(prog.matrix4(st), q0, q1)
 			}
 		case stepPauli1:
-			rho.ApplyKraus1Q(noise.DepolarizingKraus1Q(st.p), st.q0)
+			rho.ApplyKraus1Q(noise.DepolarizingKraus1Q(st.p), q0)
 		case stepPauli2:
-			rho.ApplyKraus2Q(noise.DepolarizingKraus2Q(st.p), st.q0, st.q1)
+			rho.ApplyKraus2Q(noise.DepolarizingKraus2Q(st.p), q0, q1)
 		case stepDamp:
-			if st.ampK != nil {
-				rho.ApplyKraus1Q(st.ampK, st.q0)
+			k := &prog.damps[st.idx]
+			if k.hasAmp {
+				rho.ApplyKraus1Q(k.amp[:], q0)
 			}
-			if st.phK != nil {
-				rho.ApplyKraus1Q(st.phK, st.q0)
+			if k.hasPh {
+				rho.ApplyKraus1Q(k.ph[:], q0)
 			}
 		case stepMeasure:
-			localMeasured[st.q0] = st.cbit
+			localMeasured[q0] = int(st.cbit)
 		}
 	}
 	// Convert the diagonal into a distribution over classical bits, then

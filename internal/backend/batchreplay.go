@@ -3,7 +3,6 @@ package backend
 import (
 	"sync/atomic"
 
-	"edm/internal/circuit"
 	"edm/internal/dist"
 	"edm/internal/noise"
 	"edm/internal/rng"
@@ -132,25 +131,27 @@ func (t *batchTally) flush() {
 
 // applyUnitaryStepBatch is applyUnitaryStep across every live lane of a
 // batch: the same matClass dispatch onto the batched flat kernels.
-func applyUnitaryStepBatch(b *statevec.Batch, st *step) {
+func applyUnitaryStepBatch(b *statevec.Batch, prog *program, st *step) {
+	q0, q1 := int(st.q0), int(st.q1)
 	switch st.kind {
 	case stepU1:
+		m := &prog.m2s[st.idx]
 		switch st.class {
 		case matDiag:
-			b.Apply1QDiagBatch(st.m2[0][0], st.m2[1][1], st.q0)
+			b.Apply1QDiagBatch(m[0][0], m[1][1], q0)
 		case matAnti:
-			b.Apply1QAntiDiagBatch(st.m2[0][1], st.m2[1][0], st.q0)
+			b.Apply1QAntiDiagBatch(m[0][1], m[1][0], q0)
 		default:
-			b.Apply1QBatch(st.m2, st.q0)
+			b.Apply1QBatch(*m, q0)
 		}
 	case stepU2:
 		switch st.class {
 		case matDiag:
-			b.Apply2QDiagBatch(st.d4, st.q0, st.q1)
+			b.Apply2QDiagBatch(prog.d4s[st.idx], q0, q1)
 		case matPerm:
-			b.Apply2QPermBatch(st.perm, st.q0, st.q1)
+			b.Apply2QPermBatch(prog.perms[st.idx], q0, q1)
 		default:
-			b.Apply2QBatch(st.m4, st.q0, st.q1)
+			b.Apply2QBatch(prog.m4s[st.idx], q0, q1)
 		}
 	}
 }
@@ -301,15 +302,16 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 			return
 		}
 		st := &prog.steps[si]
+		q0, q1 := int(st.q0), int(st.q1)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStepBatch(b, st)
+			applyUnitaryStepBatch(b, prog, st)
 		case stepPauli1:
 			partitionStoch(b, us, stochOp{
 				draw: func(r *rng.RNG) int { return noise.SamplePauli1Q(st.p, r) },
 				apply: func(lane *statevec.State, _ []int, k int) {
 					if k != 0 {
-						lane.Apply1Q(noise.Pauli1Q[k], st.q0)
+						lane.Apply1Q(noise.Pauli1Q[k], q0)
 					}
 				},
 			}, ck, defers, tally)
@@ -321,35 +323,32 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 				},
 				apply: func(lane *statevec.State, _ []int, k int) {
 					if ka := k & 3; ka != 0 {
-						lane.Apply1Q(noise.Pauli1Q[ka], st.q0)
+						lane.Apply1Q(noise.Pauli1Q[ka], q0)
 					}
 					if kb := k >> 2; kb != 0 {
-						lane.Apply1Q(noise.Pauli1Q[kb], st.q1)
+						lane.Apply1Q(noise.Pauli1Q[kb], q1)
 					}
 				},
 			}, ck, defers, tally)
 		case stepDamp:
-			// Plan existence guarantees both Kraus sets have exactly two
-			// operators (buildPrefixPlan falls back otherwise), so each
-			// channel is one two-way stochastic sub-step with the same
-			// draw sequence as State.ApplyKraus1Q.
-			for _, ks := range [2][]circuit.Matrix2{st.ampK, st.phK} {
+			// Each present channel is one two-way stochastic sub-step with
+			// the same draw sequence as State.ApplyKraus1Q.
+			for _, ks := range prog.damps[st.idx].channels() {
 				if ks == nil {
 					continue
 				}
-				ks := ks
 				partitionStoch(b, us, stochOp{
-					prep: func(lane *statevec.State) { lane.KrausBranchProbs1Q(ks, st.q0, probs[:]) },
+					prep: func(lane *statevec.State) { lane.KrausBranchProbs1Q(ks, q0, probs[:]) },
 					draw: func(r *rng.RNG) int { return r.Choose(probs[:]) },
 					apply: func(lane *statevec.State, _ []int, k int) {
-						lane.ApplyKrausBranch1Q(ks, st.q0, k, probs[k])
+						lane.ApplyKrausBranch1Q(ks, q0, k, probs[k])
 					},
 				}, ck, defers, tally)
 			}
 		case stepMeasure:
 			var p1 float64
 			partitionStoch(b, us, stochOp{
-				prep: func(lane *statevec.State) { p1 = lane.ProbabilityOne(st.q0) },
+				prep: func(lane *statevec.State) { p1 = lane.ProbabilityOne(q0) },
 				draw: func(r *rng.RNG) int {
 					if r.Float64() < p1 {
 						return 1
@@ -357,7 +356,7 @@ func (m *Machine) processUnit(prog *program, u replayUnit, base *rng.RNG, counts
 					return 0
 				},
 				apply: func(lane *statevec.State, bits []int, k int) {
-					lane.Project(st.q0, k)
+					lane.Project(q0, k)
 					bits[st.cbit] = k
 				},
 			}, ck, defers, tally)

@@ -8,7 +8,10 @@ import (
 // programCacheCap bounds the number of compiled programs kept per
 // machine. Experiment campaigns cycle through a handful of executables
 // per round (K ensemble members x a few policies), so a small bound
-// captures all reuse while keeping worst-case memory trivial.
+// captures all reuse. Worst-case memory is 64 schedules (ProgramBytes:
+// ~115 B per fused step, 23 KB on average and 50 KB at most for the
+// Table-1 programs on Melbourne, so ~1.5-3.2 MB) plus their plans
+// (PlanBytes, each capped by planStateBudget).
 const programCacheCap = 64
 
 // progEntry is one cached compile+fuse outcome. Compile errors are
@@ -35,12 +38,15 @@ type CacheStats struct {
 	// prefix plans: it rises as plans build and grow, and falls when a
 	// program leaves the cache.
 	PlanBytes int64
+	// ProgramBytes is the memory of the cached programs' compiled
+	// schedules: step records plus their matrix and Kraus side tables.
+	ProgramBytes int64
 }
 
 // CacheStats returns the machine's compiled-program cache counters.
-// PlanBytes is summed on read over the programs the cache holds, so a
-// program that has left the cache no longer counts, whatever runs still
-// hold it.
+// PlanBytes and ProgramBytes are summed on read over the programs the
+// cache holds, so a program that has left the cache no longer counts,
+// whatever runs still hold it.
 func (m *Machine) CacheStats() CacheStats {
 	s := m.progs.Stats()
 	st := CacheStats{Hits: s.Hits + s.Waits, Waits: s.Waits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
@@ -48,6 +54,7 @@ func (m *Machine) CacheStats() CacheStats {
 		if e.prog == nil {
 			return
 		}
+		st.ProgramBytes += e.prog.bytes()
 		if plan := e.prog.prefix.Load(); plan != nil {
 			st.PlanBytes += plan.stateBytes.Load()
 		}

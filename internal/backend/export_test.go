@@ -9,9 +9,9 @@ import (
 // Test-only entry points to the paths Run does not pick on its own. Each
 // compiles through the program cache and calls the production runners.
 
-// runLegacy runs exe through the legacy trajectory loop — the planless
-// fallback of runProgram — striped as Run stripes it. It is the oracle
-// the byte-identity tests compare the default engine against.
+// runLegacy runs exe through the legacy trajectory loop, striped as Run
+// stripes it. It is the oracle the byte-identity tests compare the
+// default engine against.
 func (m *Machine) runLegacy(exe *circuit.Circuit, trials int, r *rng.RNG) (*dist.Counts, error) {
 	prog, err := m.getProgram(exe)
 	if err != nil {

@@ -2,7 +2,9 @@ package backend
 
 import (
 	"math"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"edm/internal/bitstr"
 	"edm/internal/circuit"
@@ -135,5 +137,44 @@ func TestFusionDropsIdentity(t *testing.T) {
 		if st.kind == stepU1 || st.kind == stepU2 {
 			t.Fatalf("identity sequence survived fusion: %d unitary steps remain", len(fused.steps))
 		}
+	}
+}
+
+// TestProgramFootprint pins the compiled schedule's memory: the step
+// record stays at most 40 bytes, fusion allocates the fused schedule at
+// its exact length, and across the nine Table-1 programs on Melbourne
+// the schedule retains at most 160 bytes per fused step, side tables
+// and readout map included.
+func TestProgramFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(step{}); sz > 40 {
+		t.Fatalf("step is %d bytes, want <= 40", sz)
+	}
+	exes := physicalWorkloads(t)
+	names := make([]string, 0, len(exes))
+	for name := range exes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	m := New(device.Generate(device.Melbourne(), device.MelbourneProfile(), rng.New(5)))
+	var bytes, steps int64
+	for _, name := range names {
+		prog, err := m.getProgram(exes[name].Circuit)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cap(prog.steps) != len(prog.steps) {
+			t.Errorf("%s: fused schedule keeps cap %d for %d steps", name, cap(prog.steps), len(prog.steps))
+		}
+		b := prog.bytes()
+		t.Logf("%-10s %5d steps %7d bytes %6.1f B/step (%d 1Q, %d dense 2Q, %d diag 2Q, %d perm 2Q, %d damp channels)",
+			name, len(prog.steps), b, float64(b)/float64(len(prog.steps)),
+			len(prog.m2s), len(prog.m4s), len(prog.d4s), len(prog.perms), len(prog.damps))
+		bytes += b
+		steps += int64(len(prog.steps))
+	}
+	per := float64(bytes) / float64(steps)
+	t.Logf("total %d bytes over %d steps: %.1f B/step", bytes, steps, per)
+	if per > 160 {
+		t.Errorf("schedule retains %.1f B per fused step, want <= 160", per)
 	}
 }

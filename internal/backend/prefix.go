@@ -248,11 +248,10 @@ func checkpointSpacing(nSteps int) int {
 // -cachestats). Plan-level counters cost nothing per trial; trial-level
 // counters are accumulated per worker and flushed once per run.
 var engineStats struct {
-	plansBuilt    atomic.Int64
-	planFallbacks atomic.Int64
-	planPaths     atomic.Int64
-	fullDominant  atomic.Int64
-	divergent     atomic.Int64
+	plansBuilt   atomic.Int64
+	planPaths    atomic.Int64
+	fullDominant atomic.Int64
+	divergent    atomic.Int64
 
 	// Stabilizer engine counters (stab.go).
 	stabPrograms    atomic.Int64
@@ -273,10 +272,10 @@ var engineStats struct {
 
 // EngineStats is a snapshot of the trajectory engine's counters.
 type EngineStats struct {
-	// PlansBuilt / PlanFallbacks count prefix plans built (one spine per
-	// compiled program) vs programs that fell back to the legacy loop (a
-	// Kraus set the tape cannot model). A nonzero fallback count flags
-	// that campaigns are silently running without prefix sharing.
+	// PlansBuilt counts prefix plans built (one spine per compiled
+	// program). PlanFallbacks counted programs whose Kraus sets the tape
+	// could not model; damping channels are Kraus pairs by type now, so
+	// it is always zero and stays only for the reports that print it.
 	PlansBuilt    int64
 	PlanFallbacks int64
 	// PlanPaths is the total number of dominant paths across built
@@ -326,7 +325,6 @@ type EngineStats struct {
 func EngineStatsSnapshot() EngineStats {
 	return EngineStats{
 		PlansBuilt:         engineStats.plansBuilt.Load(),
-		PlanFallbacks:      engineStats.planFallbacks.Load(),
 		PlanPaths:          engineStats.planPaths.Load(),
 		FullDominantTrials: engineStats.fullDominant.Load(),
 		DivergentTrials:    engineStats.divergent.Load(),
@@ -349,7 +347,6 @@ func EngineStatsSnapshot() EngineStats {
 // ResetEngineStats zeroes the engine counters (tests and benchmarks).
 func ResetEngineStats() {
 	engineStats.plansBuilt.Store(0)
-	engineStats.planFallbacks.Store(0)
 	engineStats.planPaths.Store(0)
 	engineStats.fullDominant.Store(0)
 	engineStats.divergent.Store(0)
@@ -368,8 +365,7 @@ func ResetEngineStats() {
 }
 
 // plan returns the program's prefix plan, building its spine on first
-// use; nil means the tape cannot model the program and it runs on the
-// legacy loop.
+// use.
 func (prog *program) plan() *prefixPlan {
 	prog.prefixOnce.Do(func() { prog.prefix.Store(buildPrefixPlan(prog)) })
 	return prog.prefix.Load()
@@ -442,19 +438,10 @@ func (b *treeBuilder) snapshot(node *treeNode, s *statevec.State, bits []int, st
 // once — unitary steps evolve the state through the shared kernels,
 // stochastic steps record their threshold and apply their preferred
 // branch. Exit children are grown later, from trial traffic
-// (growExits). It returns nil if the schedule contains a stochastic
-// step the tape cannot model (a Kraus set that is not two operators —
-// nothing the noise model emits), which falls the machine back to the
-// legacy loop.
+// (growExits). Every stochastic step is modelable: damping channels are
+// Kraus pairs by type (dampKraus), so each draw is one of the tape's
+// two-way entries.
 func buildPrefixPlan(prog *program) *prefixPlan {
-	for i := range prog.steps {
-		st := &prog.steps[i]
-		if st.kind == stepDamp &&
-			((st.ampK != nil && len(st.ampK) != 2) || (st.phK != nil && len(st.phK) != 2)) {
-			engineStats.planFallbacks.Add(1)
-			return nil
-		}
-	}
 	plan := &prefixPlan{}
 	b := newTreeBuilder(prog, plan)
 	root := b.newNode(nil)
@@ -493,9 +480,10 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 		if i == b.firstMeas && sub == subStart {
 			b.snapshot(node, s, bits, i)
 		}
+		q0 := int(st.q0)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStep(s, st)
+			applyUnitaryStep(s, prog, st)
 		case stepPauli1, stepPauli2:
 			// Preferred branch: no error. This is the maximum-probability
 			// branch whenever p < 1/2, which holds for every calibrated
@@ -506,21 +494,22 @@ func (b *treeBuilder) build(node *treeNode, s *statevec.State, bits []int, start
 				node.tape = append(node.tape, tapeEntry{op: tapeBern, a: st.p, step: int32(i)})
 			}
 		case stepDamp:
-			if st.ampK != nil && sub < subAfterA {
-				b.emitKraus(node, s, st.ampK, st.q0, i, &probs)
+			k := &prog.damps[st.idx]
+			if k.hasAmp && sub < subAfterA {
+				b.emitKraus(node, s, k.amp[:], q0, i, &probs)
 			}
-			if st.phK != nil && sub < subAfterP {
-				b.emitKraus(node, s, st.phK, st.q0, i, &probs)
+			if k.hasPh && sub < subAfterP {
+				b.emitKraus(node, s, k.ph[:], q0, i, &probs)
 			}
 		case stepMeasure:
 			if sub == subStart {
-				p1 := s.ProbabilityOne(st.q0)
+				p1 := s.ProbabilityOne(q0)
 				e := tapeEntry{op: tapeMeas0, a: p1, step: int32(i)}
 				if p1 >= 0.5 {
 					e.op = tapeMeas1
 				}
 				node.tape = append(node.tape, e)
-				s.Project(st.q0, e.recorded())
+				s.Project(q0, e.recorded())
 				bits[st.cbit] = e.recorded()
 			}
 		}
@@ -547,10 +536,11 @@ func drawsFrom(prog *program, step, sub int) int {
 				n++
 			}
 		case stepDamp:
-			if st.ampK != nil && sub < subAfterA {
+			k := &prog.damps[st.idx]
+			if k.hasAmp && sub < subAfterA {
 				n++
 			}
-			if st.phK != nil && sub < subAfterP {
+			if k.hasPh && sub < subAfterP {
 				n++
 			}
 		case stepMeasure:
@@ -695,30 +685,32 @@ func (b *treeBuilder) replayScript(s *statevec.State, bits []int, from int, scri
 	k := 0
 	for i := from; i < len(prog.steps); i++ {
 		st := &prog.steps[i]
+		q0 := int(st.q0)
 		switch st.kind {
 		case stepU1, stepU2:
-			applyUnitaryStep(s, st)
+			applyUnitaryStep(s, prog, st)
 		case stepPauli1, stepPauli2:
 			if st.p > 0 {
 				k++
 			}
 		case stepDamp:
-			if st.ampK != nil {
-				s.KrausBranchProbs1Q(st.ampK, st.q0, probs[:])
-				s.ApplyKrausBranch1Q(st.ampK, st.q0, script[k], probs[script[k]])
+			dk := &prog.damps[st.idx]
+			if dk.hasAmp {
+				s.KrausBranchProbs1Q(dk.amp[:], q0, probs[:])
+				s.ApplyKrausBranch1Q(dk.amp[:], q0, script[k], probs[script[k]])
 				if k++; k == len(script) {
 					return i, subAfterA
 				}
 			}
-			if st.phK != nil {
-				s.KrausBranchProbs1Q(st.phK, st.q0, probs[:])
-				s.ApplyKrausBranch1Q(st.phK, st.q0, script[k], probs[script[k]])
+			if dk.hasPh {
+				s.KrausBranchProbs1Q(dk.ph[:], q0, probs[:])
+				s.ApplyKrausBranch1Q(dk.ph[:], q0, script[k], probs[script[k]])
 				if k++; k == len(script) {
 					return i, subAfterP
 				}
 			}
 		case stepMeasure:
-			s.Project(st.q0, script[k])
+			s.Project(q0, script[k])
 			bits[st.cbit] = script[k]
 			if k++; k == len(script) {
 				return i, subAfterA

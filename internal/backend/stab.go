@@ -138,27 +138,28 @@ func analyzeStab(prog *program) *stabAnalysis {
 	for i := range prog.steps {
 		st := &prog.steps[i]
 		var ss stabStep
+		q0, q1 := int(st.q0), int(st.q1)
 		switch st.kind {
 		case stepU1:
-			l, ok := recognize1Q(st.m2)
+			l, ok := recognize1Q(prog.m2s[st.idx])
 			if !ok {
 				a.prefixLen = i
 				return a
 			}
-			ss = stabStep{kind: stepU1, lut1: l, q0: st.q0}
+			ss = stabStep{kind: stepU1, lut1: l, q0: q0}
 		case stepU2:
-			l, ok := recognize2Q(st.m4)
+			l, ok := recognize2Q(prog.matrix4(st))
 			if !ok {
 				a.prefixLen = i
 				return a
 			}
-			ss = stabStep{kind: stepU2, lut2: l, q0: st.q0, q1: st.q1}
+			ss = stabStep{kind: stepU2, lut2: l, q0: q0, q1: q1}
 		case stepPauli1:
-			ss = stabStep{kind: stepPauli1, q0: st.q0, p: st.p}
+			ss = stabStep{kind: stepPauli1, q0: q0, p: st.p}
 		case stepPauli2:
-			ss = stabStep{kind: stepPauli2, q0: st.q0, q1: st.q1, p: st.p}
+			ss = stabStep{kind: stepPauli2, q0: q0, q1: q1, p: st.p}
 		case stepMeasure:
-			ss = stabStep{kind: stepMeasure, q0: st.q0, cbit: st.cbit}
+			ss = stabStep{kind: stepMeasure, q0: q0, cbit: int(st.cbit)}
 		default: // stepDamp: amplitude/phase damping is not a Pauli channel
 			a.prefixLen = i
 			return a

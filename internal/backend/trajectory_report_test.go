@@ -63,7 +63,7 @@ func TestTrajectoryBenchReport(t *testing.T) {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Note: "trajectory execution: the batched tape-tree engine (DESIGN.md sections 10 " +
 			"and 15), on a tape tree grown by a batched run on the same streams, vs the frozen " +
-			"legacy full-replay loop (the planless fallback, serial); the two engines are " +
+			"legacy full-replay loop (the byte-identity oracle, serial); the two engines are " +
 			"timed in interleaved rounds so shared-machine load lands on both; speedup is " +
 			"batched vs legacy; counts_identical asserts the batched Counts equal " +
 			"the legacy Counts bit for bit; mean_batch_size is divergent trials per replay " +

@@ -54,6 +54,7 @@ func BackendCacheStats() (prog backend.CacheStats, run memo.Stats) {
 		prog.Evictions += ps.Evictions
 		prog.Entries += ps.Entries
 		prog.PlanBytes += ps.PlanBytes
+		prog.ProgramBytes += ps.ProgramBytes
 		rs := r.Machine.RunCacheStats()
 		run.Hits += rs.Hits
 		run.Misses += rs.Misses

@@ -198,6 +198,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	put("engine_plan_fallbacks_total", uint64(m.Engine.PlanFallbacks))
 	put("engine_plan_paths_total", uint64(m.Engine.PlanPaths))
 	put("backend_plan_bytes", uint64(m.Programs.PlanBytes))
+	put("backend_program_bytes", uint64(m.Programs.ProgramBytes))
 	put("engine_stab_programs_total", uint64(m.Engine.StabPrograms))
 	put("engine_stab_fallbacks_total", uint64(m.Engine.StabFallbacks))
 	put("engine_stab_prefix_steps_total", uint64(m.Engine.StabPrefixSteps))

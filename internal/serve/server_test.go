@@ -139,7 +139,8 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 		t.Fatalf("job: %d %s", resp.StatusCode, body)
 	}
 	// The job built prefix plans on this window's machine: the plan
-	// counters are process-wide, the plan-bytes gauge is the machine's.
+	// counters are process-wide, the plan-bytes and program-bytes gauges
+	// are the machine's.
 	// It also built one compile pool, whose placements and bytes the pool
 	// gauges report.
 	metrics := getMetrics(t, ts.URL)
@@ -148,6 +149,7 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 		`(?m)^edmd_engine_plan_fallbacks_total 0$`,
 		`(?m)^edmd_engine_plan_paths_total [1-9][0-9]*$`,
 		`(?m)^edmd_backend_plan_bytes [1-9][0-9]*$`,
+		`(?m)^edmd_backend_program_bytes [1-9][0-9]*$`,
 		`(?m)^edmd_compile_pool_entries 1$`,
 		`(?m)^edmd_compile_pool_evictions_total 0$`,
 		`(?m)^edmd_compile_pool_candidates [1-9][0-9]*$`,
@@ -166,7 +168,8 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 		t.Fatalf("advance body %q", body)
 	}
 
-	// The advance swapped in a fresh machine: no plans, no plan bytes.
+	// The advance swapped in a fresh machine: no plans, no plan bytes, no
+	// compiled programs.
 	metrics = getMetrics(t, ts.URL)
 	for _, want := range []string{
 		"edmd_window 1",
@@ -174,6 +177,7 @@ func TestServerAdvanceAndMetrics(t *testing.T) {
 		"edmd_job_cache_misses_total 1",
 		"edmd_compile_pool_misses_total 1",
 		"edmd_backend_plan_bytes 0",
+		"edmd_backend_program_bytes 0",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

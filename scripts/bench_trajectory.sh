@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_trajectory.json: the DESIGN.md §10/§15 batched
 # tape-tree trajectory engine versus the frozen legacy full-replay loop
-# (the planless fallback), with per-path hit rates, tree depth, and
+# (the byte-identity oracle), with per-path hit rates, tree depth, and
 # resident checkpoint bytes per case.
 #
 # Usage: scripts/bench_trajectory.sh [output.json]

@@ -140,7 +140,11 @@ echo "== trajectory engine identity (DESIGN.md §10, §15) =="
 # workers). PlanGrowth runs one cached program concurrently at mixed
 # trial counts, so runs grow the shared tape tree while others walk it;
 # PanicReaches pins that a panicking trial reaches the caller of Run.
-TRAJ_TESTS='PrefixEngine|PrefixDrawOrder|PrefixPlan|BatchedReplay|MaxLanesFor|PlanGrowth|PanicReaches'
+# RunGoldenDigest pins Counts and ExactDist bits to a digest recorded
+# before schedule steps moved their matrices and Kraus pairs into
+# per-program side tables; ProgramFootprint pins the step record size
+# and the schedule's bytes per fused step.
+TRAJ_TESTS='PrefixEngine|PrefixDrawOrder|PrefixPlan|BatchedReplay|MaxLanesFor|PlanGrowth|PanicReaches|RunGoldenDigest|ProgramFootprint'
 GOMAXPROCS=1 go test -race -count=1 -run "$TRAJ_TESTS" ./internal/backend
 go test -race -count=1 -run "$TRAJ_TESTS" ./internal/backend
 
